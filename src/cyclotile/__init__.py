@@ -27,7 +27,6 @@ from .coloring import (
     WHITE,
     CirculantSpec,
     Coloring,
-    a_polynomial,
     build_document,
     coloring_to_tiling,
     is_perfect_coloring,
@@ -65,11 +64,9 @@ from .oracle import (
 )
 from .polyring import (
     IntPolynomial,
-    all_ones,
     eval_at,
     poly_divmod,
     poly_exact_div,
-    poly_mul,
     power_minus_one,
     reduce_mod_cyclic,
 )
@@ -114,8 +111,6 @@ __all__ = [
     "Violation",
     "WHITE",
     "ZeroMask",
-    "a_polynomial",
-    "all_ones",
     "build_document",
     "census_colorings",
     "check_admissible",
@@ -140,7 +135,6 @@ __all__ = [
     "perfect_parameters",
     "poly_divmod",
     "poly_exact_div",
-    "poly_mul",
     "power_minus_one",
     "prime_power_base",
     "prime_power_product_at_one",

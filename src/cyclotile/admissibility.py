@@ -18,15 +18,13 @@ from .arith import crt, factorize, is_prime_power
 from .coloring import (
     CirculantSpec,
     Coloring,
-    a_polynomial,
     build_document,
     is_perfect_coloring,
     structured_tile,
     tiling_to_coloring,
 )
-from .cyclotomic import divisor_spectrum, prime_power_product_at_one
-from .errors import BoundViolated, Inadmissible, NotPrimePowerSum
-from .tiling import construct_tiling_prime_power
+from .errors import BoundViolated, Inadmissible, NotExists, NotPrimePowerSum
+from .tiling import construct_tiling_prime_power, multitiling_exists
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,22 +124,25 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphCondition
     spectrum, evaluated at 1, is divisible by (b+c)/gcd(b, c). On a
     prime-power group order the condition is also sufficient, which the
     verdict flags as exact.
+
+    This is a view of the c-multitiling test on the structured tile: its
+    mask sum is b + c, and c * pi = 0 (mod b + c) holds exactly when
+    (b+c)/gcd(b, c) divides pi, because c/gcd(b, c) is a unit modulo it.
     """
     if spec.modulus < 2:
         raise ValueError("the graph needs at least 2 vertices")
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
-    spectrum = divisor_spectrum(a_polynomial(spec, b, c), spec.modulus)
-    product = prime_power_product_at_one(spectrum)
-    reduced = (b + c) // gcd(b, c)
+    verdict = multitiling_exists(structured_tile(spec, b, c), c)
+    spectrum = verdict.spectrum
     return GraphConditionVerdict(
         modulus=spec.modulus,
         divisors=tuple(sorted(spectrum.divisors)),
         prime_power_divisors=tuple(sorted(spectrum.prime_power_subset)),
         divisor_product_at_one=spectrum.divisor_product_at_one(),
-        prime_power_product_at_one=product,
-        reduced_sum=reduced,
-        passed=product % reduced == 0,
+        prime_power_product_at_one=verdict.prime_power_product,
+        reduced_sum=(b + c) // gcd(b, c),
+        passed=verdict.passed,
         exact=is_prime_power(spec.modulus),
     )
 
@@ -208,14 +209,19 @@ def construct_distances(params: ParamTriple) -> ConstructionWitness:
     solution each. Finally the largest distance is lifted by whole
     periods until it clears max q^(t+1), which no congruence notices.
     """
+    witness = _lifted_distances(params)
+    if not check_graph_condition(witness.spec, params.b, params.c).passed:
+        raise AssertionError("constructed distances fail the divisibility condition")
+    return witness
+
+
+def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
+    # construct_distances without its closing divisibility check, which
+    # construct_perfect_coloring makes through the tiling construction.
     verdict = check_admissible(params)
     if not verdict.admissible:
         raise Inadmissible(verdict)
     reduced = params.reduced_sum
-    if reduced < 2:
-        # Unreachable for positive b and c; any graph would do, so answer
-        # with the one-edge graph doubled k times.
-        return ConstructionWitness(params, CirculantSpec(2, (1,) * params.k), (), None)
     per_prime = _per_prime_residues(params)
     period = reduced if reduced % 2 else 2 * reduced
     distances = []
@@ -228,8 +234,6 @@ def construct_distances(params: ParamTriple) -> ConstructionWitness:
     while distances[idx] <= lift_past:
         distances[idx] += period
     spec = CirculantSpec(period, tuple(distances))
-    if not check_graph_condition(spec, params.b, params.c).passed:
-        raise AssertionError("constructed distances fail the divisibility condition")
     return ConstructionWitness(params, spec, tuple(per_prime), None)
 
 
@@ -247,9 +251,12 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     limit = 2 * params.k + gcd(params.b, params.c)
     if s > limit:
         raise BoundViolated("b + c = %d exceeds 2k + gcd(b, c) = %d" % (s, limit))
-    witness = construct_distances(params)
+    witness = _lifted_distances(params)
     u = structured_tile(witness.spec, params.b, params.c)
-    v = construct_tiling_prime_power(u, params.c)
+    try:
+        v = construct_tiling_prime_power(u, params.c)
+    except NotExists as exc:
+        raise AssertionError("constructed distances fail the divisibility condition") from exc
     col = tiling_to_coloring(v, params.b, params.c)
     if not is_perfect_coloring(witness.spec, col):
         raise AssertionError("constructed colouring failed the graph-side check")

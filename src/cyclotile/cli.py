@@ -3,7 +3,8 @@
 Every subcommand prints one JSON payload (or CSV for the table) on
 standard output and reserves standard error for diagnostics. Exit code 0
 means the requested check passed or the object was produced, 1 means a
-negative mathematical verdict, 2 means the invocation itself was bad.
+negative mathematical verdict, 2 means the invocation itself was bad,
+and 3 means an internal invariant failed, which is a bug in cyclotile.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import CyclotileError
 from .oracle import search_colorings
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _positive(text: str) -> int:
@@ -274,6 +276,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, CyclotileError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import ModulusMismatch, NotZeroOne
-from .polyring import IntPolynomial
 from .tiling import Tile
 
 BLACK = "B"
@@ -102,21 +101,6 @@ def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
         values[(m + l) % p] += 1
         values[(m - l) % p] += 1
     return Tile(tuple(values))
-
-
-def a_polynomial(spec: CirculantSpec, b: int, c: int) -> IntPolynomial:
-    """The structured mask before cyclic reduction, degree at most 2M.
-
-    The x^M prefactor clears every negative power, so this lives in
-    Z[x]; reduced mod x^P - 1 it equals the mask of structured_tile.
-    """
-    m = spec.max_distance
-    coeffs = [0] * (2 * m + 1)
-    coeffs[m] += b + c - 2 * spec.k
-    for l in spec.distances:
-        coeffs[m + l] += 1
-        coeffs[m - l] += 1
-    return IntPolynomial(coeffs)
 
 
 def is_perfect_coloring(spec: CirculantSpec, col: Coloring) -> bool:
@@ -206,9 +190,10 @@ def parse_document(doc) -> tuple[CirculantSpec, int, int, str | None]:
             raise ValueError("missing field %r" % key)
     p, b, c = doc["P"], doc["b"], doc["c"]
     distances = doc["distances"]
-    if not isinstance(p, int) or not isinstance(b, int) or not isinstance(c, int):
+    # type(x) is int, not isinstance: JSON true and false load as bool, a subclass of int
+    if not all(type(x) is int for x in (p, b, c)):
         raise ValueError("P, b, c must be integers")
-    if not isinstance(distances, list) or not all(isinstance(l, int) for l in distances):
+    if not isinstance(distances, list) or not all(type(l) is int for l in distances):
         raise ValueError("distances must be a list of integers")
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")

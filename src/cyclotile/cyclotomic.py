@@ -14,7 +14,6 @@ from .arith import divisors, is_prime_power, prime_power_base
 from .errors import ZeroMask
 from .polyring import (
     IntPolynomial,
-    eval_at,
     poly_divmod,
     poly_exact_div,
     power_minus_one,
@@ -61,7 +60,12 @@ class DivisorSpectrum:
         return poly
 
     def divisor_product_at_one(self) -> int:
-        return eval_at(self.divisor_product(), 1)
+        """Value at 1 of divisor_product, in closed form.
+
+        Phi_1(1) = 0, Phi_{p^e}(1) = p and Phi_n(1) = 1 for every other n,
+        so no polynomial product is needed.
+        """
+        return 0 if 1 in self.divisors else prime_power_product_at_one(self)
 
 
 def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:

@@ -41,10 +41,6 @@ class Inadmissible(CyclotileError):
         self.verdict = verdict
 
 
-class DegenerateReducedSum(CyclotileError):
-    """The reduced colour sum collapsed below 2; nothing to construct."""
-
-
 class NotPrimePowerSum(CyclotileError):
     """b + c is not a prime power, so only a multitiling certificate is available."""
 

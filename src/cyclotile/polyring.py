@@ -96,11 +96,6 @@ class IntPolynomial:
         return text
 
 
-def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Exact product in Z[x]."""
-    return f * g
-
-
 def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """Quotient and remainder of f by g over Z[x].
 
@@ -160,10 +155,3 @@ def power_minus_one(modulus: int) -> IntPolynomial:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     return IntPolynomial([-1] + [0] * (modulus - 1) + [1])
-
-
-def all_ones(modulus: int) -> IntPolynomial:
-    """1 + x + ... + x^(P-1), the mask of the full group."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return IntPolynomial([1] * modulus)

@@ -4,8 +4,9 @@ A tile is an integer-valued function on Z/PZ. A second tile v is an
 m-multitiling for u when the cyclic convolution of u and v is the
 constant m; when v only takes the values 0 and 1 it is an m-tiling.
 Existence of an m-multitiling is decided exactly by a divisibility test
-on the mask polynomial of u, and both the general witness and the 0/1
-prime-power witness are built from the cyclotomic divisor spectrum.
+on the mask polynomial of u. The verdict carries the cyclotomic divisor
+spectrum it was decided on, and both the general witness and the 0/1
+prime-power witness are built from that same spectrum.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ class Tile:
 
 @dataclasses.dataclass(frozen=True)
 class ExistenceVerdict:
-    """Outcome of the multitiling divisibility test, with the numbers behind it."""
+    """Outcome of the multitiling divisibility test, with the numbers behind it.
+
+    spectrum is the divisor spectrum of the mask, None only for a zero mask.
+    """
 
     passed: bool
     multiplicity: int
     mask_sum: int
     prime_power_product: int | None
+    spectrum: DivisorSpectrum | None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -97,33 +102,31 @@ def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
     return True
 
 
-def _spectrum_of(u: Tile) -> DivisorSpectrum:
-    return divisor_spectrum(mask_polynomial(u), u.modulus)
-
-
 def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     """Decide whether any m-multitiling with tile u exists.
 
     The test is: the mask sum must be nonzero and must divide m times the
     value at 1 of the prime-power part of the spectrum. A mask sum of zero
-    is an automatic fail, never an error.
+    is an automatic fail, never an error. This is the only place the
+    spectrum of a tile is computed; callers reuse verdict.spectrum.
     """
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
     mask = mask_polynomial(u)
     mask_sum = eval_at(mask, 1)
     if mask.is_zero():
-        return ExistenceVerdict(False, multiplicity, 0, None)
-    product = prime_power_product_at_one(_spectrum_of(u))
+        return ExistenceVerdict(False, multiplicity, 0, None, None)
+    spectrum = divisor_spectrum(mask, u.modulus)
+    product = prime_power_product_at_one(spectrum)
     passed = mask_sum != 0 and (multiplicity * product) % mask_sum == 0
-    return ExistenceVerdict(passed, multiplicity, mask_sum, product)
+    return ExistenceVerdict(passed, multiplicity, mask_sum, product, spectrum)
 
 
-def _witness_base(u: Tile, spectrum: DivisorSpectrum) -> IntPolynomial:
+def _witness_base(modulus: int, divisor_product: IntPolynomial) -> IntPolynomial:
     # (x^P - 1) / ((x - 1) * divisor_product); exact because the mask sum is
     # nonzero, so x - 1 is not among the divisors.
-    denom = IntPolynomial([-1, 1]) * spectrum.divisor_product()
-    return poly_exact_div(power_minus_one(u.modulus), denom)
+    denom = IntPolynomial([-1, 1]) * divisor_product
+    return poly_exact_div(power_minus_one(modulus), denom)
 
 
 def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
@@ -136,10 +139,10 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    spectrum = _spectrum_of(u)
+    spectrum = verdict.spectrum
     constant = multiplicity * spectrum.divisor_product_at_one() // verdict.mask_sum
     multiplier = IntPolynomial([constant])
-    witness_poly = multiplier * _witness_base(u, spectrum)
+    witness_poly = multiplier * _witness_base(u.modulus, spectrum.divisor_product())
     return MultitilingWitness(
         tile=tile_from_polynomial(witness_poly, u.modulus),
         multiplier=multiplier,
@@ -165,9 +168,9 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    spectrum = _spectrum_of(u)
+    spectrum = verdict.spectrum
     product = spectrum.divisor_product()
-    count = multiplicity * eval_at(product, 1) // mask_sum
+    count = multiplicity * spectrum.divisor_product_at_one() // mask_sum
     ones = [e for e, cf in enumerate(product.coeffs) if cf == 1]
     if any(cf not in (0, 1) for cf in product.coeffs) or count > len(ones):
         raise AssertionError("divisor product is not 0/1 on a prime power")
@@ -176,7 +179,7 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     for e in selected:
         coeffs[e] = 1
     multiplier = IntPolynomial(coeffs)
-    witness_poly = multiplier * _witness_base(u, spectrum)
+    witness_poly = multiplier * _witness_base(u.modulus, product)
     tile = tile_from_polynomial(witness_poly, u.modulus)
     if any(value not in (0, 1) for value in tile.values):
         raise AssertionError("constructed witness is not a 0/1 tile")

@@ -1,11 +1,13 @@
 """Parameter admissibility and the constructive distance pipeline."""
 
+import importlib
 import itertools
 import math
 import random
 
 import pytest
 
+from cyclotile import admissibility, coloring, tiling
 from cyclotile.admissibility import (
     ParamTriple,
     check_admissible,
@@ -17,6 +19,7 @@ from cyclotile.admissibility import (
 from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document
 from cyclotile.errors import BoundViolated, Inadmissible, NotPrimePowerSum
 from cyclotile.oracle import search_colorings
+from cyclotile.tiling import Tile, construct_multitiling, construct_tiling_prime_power
 
 
 def test_param_triple():
@@ -92,6 +95,26 @@ def test_graph_condition_examples():
 
     verdict = check_graph_condition(CirculantSpec(4, (5,)), 1, 1)
     assert verdict.passed and verdict.exact
+
+
+def test_graph_condition_is_divisibility_by_reduced_sum():
+    # the verdict comes from the c-multitiling test on the structured tile;
+    # it must agree with N | pi read off the same spectrum
+    rng = random.Random(32)
+    for _ in range(300):
+        p = rng.randrange(2, 25)
+        distances = tuple(rng.randrange(0, 2 * p) for _ in range(rng.randrange(1, 4)))
+        b, c = rng.randrange(1, 9), rng.randrange(1, 9)
+        verdict = check_graph_condition(CirculantSpec(p, distances), b, c)
+        assert verdict.reduced_sum == (b + c) // math.gcd(b, c)
+        assert verdict.passed == (verdict.prime_power_product_at_one % verdict.reduced_sum == 0)
+        assert verdict.divisor_product_at_one == verdict.prime_power_product_at_one
+
+
+def test_graph_condition_huge_distance():
+    # distances enter only modulo P, so one of 10^12 allocates nothing of its size
+    huge = check_graph_condition(CirculantSpec(8, (1, 10**12)), 1, 1)
+    assert huge == check_graph_condition(CirculantSpec(8, (1, 0)), 1, 1)
 
 
 def test_graph_condition_exact_flag():
@@ -262,3 +285,35 @@ def test_random_admissible_triples_verify():
         w = construct_distances(params)
         assert check_graph_condition(w.spec, b, c).passed
         done += 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: construct_perfect_coloring(ParamTriple(2, 6, 3)),
+        lambda: construct_multitiling(Tile((1, 0, 1, 0)), 2),
+        lambda: construct_tiling_prime_power(Tile((1, 0, 1, 0)), 1),
+        lambda: check_graph_condition(CirculantSpec(8, (1, 11)), 3, 1),
+    ],
+    ids=[
+        "construct_perfect_coloring",
+        "construct_multitiling",
+        "construct_tiling_prime_power",
+        "check_graph_condition",
+    ],
+)
+def test_one_spectrum_per_pipeline_call(monkeypatch, call):
+    cyclotomic = importlib.import_module("cyclotile.cyclotomic")
+    real = cyclotomic.divisor_spectrum
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    # every module reference, so a second path through another module counts too
+    for module in (admissibility, coloring, cyclotomic, tiling):
+        if hasattr(module, "divisor_spectrum"):
+            monkeypatch.setattr(module, "divisor_spectrum", counting)
+    call()
+    assert len(calls) == 1

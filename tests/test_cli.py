@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclotile import admissibility
 from cyclotile.cli import run
 
 
@@ -125,6 +126,32 @@ def test_verify_malformed_document(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, "P": 4}))
     code, _, err = invoke(capsys, "verify", str(path))
     assert code == 2
+
+
+def test_verify_rejects_json_booleans(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")
+    assert code == 0
+    for field, value in (("b", True), ("distances", [True, 1, 10]), ("P", True)):
+        doc = json.loads(out)
+        doc[field] = value
+        path = tmp_path / ("bool_%s.json" % field)
+        path.write_text(json.dumps(doc))
+        code, verify_out, err = invoke(capsys, "verify", str(path))
+        assert code == 2, field
+        assert verify_out == ""
+        assert err
+
+
+def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
+    # a constructed colouring that fails its own graph-side check is a bug,
+    # which must not be reported as the negative verdict of exit 1
+    monkeypatch.setattr(admissibility, "is_perfect_coloring", lambda spec, col: False)
+    code, out, err = invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_search_found(capsys):

@@ -10,7 +10,6 @@ from cyclotile.coloring import (
     WHITE,
     CirculantSpec,
     Coloring,
-    a_polynomial,
     build_document,
     coloring_to_tiling,
     is_perfect_coloring,
@@ -20,8 +19,7 @@ from cyclotile.coloring import (
     tiling_to_coloring,
 )
 from cyclotile.errors import ModulusMismatch, NotZeroOne
-from cyclotile.polyring import reduce_mod_cyclic
-from cyclotile.tiling import Tile, mask_polynomial, verify_multitiling
+from cyclotile.tiling import Tile, verify_multitiling
 
 
 def test_spec_basic():
@@ -76,25 +74,6 @@ def test_structured_tile_negative_center():
     u = structured_tile(CirculantSpec(7, (1, 2)), 1, 1)
     assert u.values[2] == 1 + 1 - 4
     assert sum(u.values) == 2
-
-
-def test_a_polynomial_examples():
-    assert a_polynomial(CirculantSpec(4, (1,)), 1, 1).coeffs == (1, 0, 1)
-    assert a_polynomial(CirculantSpec(5, (1, 2)), 3, 1).coeffs == (1, 1, 0, 1, 1)
-    assert a_polynomial(CirculantSpec(3, (0,)), 1, 1).coeffs == (2,)
-
-
-def test_a_polynomial_matches_structured_tile():
-    rng = random.Random(21)
-    for _ in range(200):
-        p = rng.randrange(1, 13)
-        k = rng.randrange(1, 4)
-        distances = tuple(rng.randrange(0, 2 * p) for _ in range(k))
-        spec = CirculantSpec(p, distances)
-        b = rng.randrange(1, 7)
-        c = rng.randrange(1, 7)
-        reduced = reduce_mod_cyclic(a_polynomial(spec, b, c), p)
-        assert reduced.coeffs == mask_polynomial(structured_tile(spec, b, c)).coeffs
 
 
 def test_is_perfect_examples():
@@ -238,6 +217,14 @@ def test_parse_document_rejects_malformed():
     ):
         bad = dict(good)
         bad.update(breakage)
+        with pytest.raises(ValueError):
+            parse_document(bad)
+    # JSON booleans load as bool, which Python counts as an int
+    for bad in (
+        {"version": 1, "P": 8, "distances": [1, 1, 10], "b": True, "c": 6, "colors": "BBBWBBBW"},
+        {"version": 1, "P": 8, "distances": [True, 1, 10], "b": 2, "c": 6, "colors": "BBBWBBBW"},
+        {"version": 1, "P": True, "distances": [0], "b": 1, "c": 1, "colors": "B"},
+    ):
         with pytest.raises(ValueError):
             parse_document(bad)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from cyclotile.errors import ZeroMask
 from cyclotile.polyring import (
     IntPolynomial,
     eval_at,
-    poly_mul,
     power_minus_one,
     reduce_mod_cyclic,
 )
@@ -41,7 +41,7 @@ def test_divisor_product_identity():
         prod = IntPolynomial([1])
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = poly_mul(prod, cyclotomic(d))
+                prod = prod * cyclotomic(d)
         assert prod.coeffs == power_minus_one(n).coeffs
 
 
@@ -82,7 +82,7 @@ def test_spectrum_phi4():
     assert spec.prime_power_subset == frozenset({4})
 
 
-def test_spectrum_all_ones():
+def test_spectrum_full_mask():
     spec = divisor_spectrum(IntPolynomial([1, 1, 1, 1]), 4)
     assert spec.divisors == frozenset({2, 4})
     assert spec.prime_power_subset == frozenset({2, 4})
@@ -129,7 +129,32 @@ def test_full_and_prime_power_products_agree_at_one():
         spec = divisor_spectrum(f, p)
         if 1 in spec.divisors:
             continue
-        assert spec.divisor_product_at_one() == prime_power_product_at_one(spec)
+        assert eval_at(spec.divisor_product(), 1) == prime_power_product_at_one(spec)
+
+
+def test_divisor_product_at_one_closed_form():
+    rng = random.Random(33)
+    zero_sum = 0
+    for i in range(300):
+        p = rng.randrange(1, 25)
+        values = [rng.randrange(-2, 3) for _ in range(p)]
+        if i % 3 == 0:
+            values[-1] -= sum(values)
+        f = IntPolynomial(values)
+        if f.is_zero():
+            continue
+        spec = divisor_spectrum(f, p)
+        zero_sum += 1 in spec.divisors
+        assert spec.divisor_product_at_one() == eval_at(spec.divisor_product(), 1), values
+    assert zero_sum > 50
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        expected = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic(n).coeffs == tuple(int(cf) for cf in expected), n
 
 
 def test_spectrum_reduction_invariance():
