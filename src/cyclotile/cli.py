@@ -276,6 +276,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, CyclotileError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return USAGE_ERROR
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return INTERNAL_ERROR

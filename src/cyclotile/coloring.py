@@ -17,10 +17,12 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import ModulusMismatch, NotZeroOne
+from .polyring import convolve
 from .tiling import Tile
 
 BLACK = "B"
 WHITE = "W"
+_INDICATOR = bytes.maketrans(b"BW", b"\x01\x00")  # colour letters to the black indicator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,22 +106,8 @@ def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
 
 
 def is_perfect_coloring(spec: CirculantSpec, col: Coloring) -> bool:
-    """Direct graph-side check of the perfection condition, vertex by vertex."""
-    if spec.modulus != col.modulus:
-        raise ModulusMismatch(
-            "graph on %d vertices, colouring on %d" % (spec.modulus, col.modulus)
-        )
-    colors = col.colors
-    for g in range(spec.modulus):
-        if colors[g] == BLACK:
-            whites = sum(1 for h in spec.neighbors(g) if colors[h] == WHITE)
-            if whites != col.b:
-                return False
-        else:
-            blacks = sum(1 for h in spec.neighbors(g) if colors[h] == BLACK)
-            if blacks != col.c:
-                return False
-    return True
+    """Graph-side check of the perfection condition for the colouring's own (b, c)."""
+    return perfect_parameters(spec, col.colors) == (col.b, col.c)
 
 
 def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | None:
@@ -127,30 +115,28 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
 
     Perfection forces every black vertex to share one white-neighbour
     count b and every white vertex one black-neighbour count c, so a
-    vector determines its parameters. Returns None for monochromatic or
-    inconsistent vectors, and when a derived count is zero, since valid
-    parameters are positive.
+    vector determines its parameters. The black-neighbour counts are the
+    cyclic convolution of the black indicator with the multiset of jumps
+    +l and -l. Returns None for monochromatic or inconsistent vectors,
+    and when a derived count is zero, since valid parameters are positive.
     """
-    white_of_black = -1
-    white_of_white = -1
-    for g in range(spec.modulus):
-        whites = sum(1 for h in spec.neighbors(g) if colors[h] == WHITE)
-        if colors[g] == BLACK:
-            if white_of_black < 0:
-                white_of_black = whites
-            elif white_of_black != whites:
-                return None
-        else:
-            if white_of_white < 0:
-                white_of_white = whites
-            elif white_of_white != whites:
-                return None
-    if white_of_black < 0 or white_of_white < 0:
-        return None
-    b, c = white_of_black, 2 * spec.k - white_of_white
-    if b < 1 or c < 1:
-        return None
-    return b, c
+    p = spec.modulus
+    if len(colors) != p:
+        raise ModulusMismatch("graph on %d vertices, colouring on %d" % (p, len(colors)))
+    jumps = [0] * p
+    for l in spec.distances:
+        jumps[l % p] += 1
+        jumps[-l % p] += 1
+    # against the jumps repeated twice, entry g + P of the linear convolution is cyclic
+    blacks = convolve(colors.encode().translate(_INDICATOR), jumps + jumps)[p:2 * p]
+    pairs = set(zip(colors, blacks))  # (colour, black-neighbour count) of each vertex
+    counts = dict(pairs)  # keyed by every letter the string uses
+    if counts.keys() - {BLACK, WHITE}:
+        raise ValueError("colors must be a string over B and W")
+    if len(pairs) != 2 or len(counts) != 2:
+        return None  # monochromatic, or one colour class with two counts
+    b, c = 2 * spec.k - counts[BLACK], counts[WHITE]
+    return (b, c) if b >= 1 and c >= 1 else None
 
 
 def coloring_to_tiling(col: Coloring) -> Tile:

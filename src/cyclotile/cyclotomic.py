@@ -71,14 +71,16 @@ class DivisorSpectrum:
 def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:
     """Spectrum of f on the cyclic group of the given order.
 
-    f is reduced modulo x^P - 1 first, which cannot change any of the
-    divisibility answers for indices dividing P. A mask that reduces to
-    zero has every answer trivially yes and is rejected as ZeroMask.
+    f is reduced modulo x^P - 1 first, and modulo x^n - 1 before each test
+    of Phi_n, which cannot change any answer since Phi_n divides x^n - 1;
+    a fold that vanishes is divisible. A mask that reduces to zero modulo
+    x^P - 1 has every answer trivially yes and is rejected as ZeroMask.
     """
     reduced = reduce_mod_cyclic(f, modulus)
     if reduced.is_zero():
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
-    hits = frozenset(n for n in divisors(modulus) if cyclotomic_divides(n, reduced))
+    folds = ((n, reduce_mod_cyclic(reduced, n)) for n in divisors(modulus))
+    hits = frozenset(n for n, fold in folds if fold.is_zero() or cyclotomic_divides(n, fold))
     return DivisorSpectrum(
         modulus=modulus,
         divisors=hits,

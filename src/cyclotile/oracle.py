@@ -8,6 +8,7 @@ vertex 0 in the least significant bit, Black encoded as 1.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
@@ -36,8 +37,9 @@ def search_colorings(
 ) -> SearchReport:
     """Every (b, c)-perfect colouring of the graph, by filtering all 2^P states.
 
-    With a limit the search stops after that many hits and the report
-    says whether the enumeration ran to the end anyway.
+    The census's classifier labels the states; only its (b, c) hits become
+    colourings. With a limit the search stops after that many hits and
+    the report says whether the enumeration ran to the end anyway.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
@@ -46,13 +48,12 @@ def search_colorings(
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
     found = []
-    examined = 0
-    for mask in range(1 << p):
-        examined += 1
-        col = Coloring(_colors_of(mask, p), b, c)
-        if is_perfect_coloring(spec, col):
-            found.append(col)
+    examined = 1 << p
+    for mask, params in _classified(spec):
+        if params == (b, c):
+            found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
             if limit is not None and len(found) >= limit:
+                examined = mask + 1
                 break
     return SearchReport(spec, b, c, tuple(found), examined == 1 << p, examined)
 
@@ -70,53 +71,51 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     return out
 
 
-def census_colorings(spec: CirculantSpec) -> dict[tuple[int, int], list[Coloring]]:
-    """All perfect colourings of the graph, bucketed by their (b, c), in one pass.
+def _confirmed(spec: CirculantSpec, col: Coloring) -> Coloring:
+    if not is_perfect_coloring(spec, col):
+        raise AssertionError("oracle classification disagrees with the direct check")
+    return col
+
+
+def _classified(spec: CirculantSpec):
+    """(mask, (b, c)) for every state perfect for some positive (b, c), in counter order.
 
     A colour vector determines the only (b, c) it could be perfect for
     (the common white-neighbour count of its black vertices and the
-    common black-neighbour count of its white ones), so one sweep over
-    the 2^P states classifies everything. The derivation here works on
-    bit masks for speed; every hit is confirmed with is_perfect_coloring
-    before it is reported, and the buckets keep enumeration order.
+    common black-neighbour count of its white ones). This is the naive
+    reference count, vertex by vertex on bit masks, independent of the
+    convolution behind is_perfect_coloring.
+    """
+    p = spec.modulus
+    # each neighbour multiset as bit masks: layer j holds the neighbours met more than j times
+    counts = [collections.Counter(spec.neighbors(g)) for g in range(p)]
+    layers = [[sum(1 << h for h, m in c.items() if m > j) for j in range(max(c.values()))]
+              for c in counts]
+    degree = 2 * spec.k
+    for mask in range(1 << p):
+        seen = {}  # colour bit -> the white-neighbour count every vertex of that colour shares
+        for g in range(p):
+            whites = degree
+            for layer in layers[g]:
+                whites -= (mask & layer).bit_count()
+            if seen.setdefault((mask >> g) & 1, whites) != whites:
+                break
+        else:
+            if len(seen) == 2 and seen[1] >= 1 and degree - seen[0] >= 1:
+                yield mask, (seen[1], degree - seen[0])
+
+
+def census_colorings(spec: CirculantSpec) -> dict[tuple[int, int], list[Coloring]]:
+    """All perfect colourings of the graph, bucketed by their (b, c), in one pass.
+
+    One sweep of the classifier over the 2^P states sorts everything;
+    every hit is confirmed with is_perfect_coloring before it is
+    reported, and the buckets keep enumeration order.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
-    neighbor_table = [spec.neighbors(g) for g in range(p)]
-    degree = 2 * spec.k
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for mask in range(1 << p):
-        white_of_black = -1
-        white_of_white = -1
-        consistent = True
-        for g in range(p):
-            whites = 0
-            for h in neighbor_table[g]:
-                whites += 1 - ((mask >> h) & 1)
-            if (mask >> g) & 1:
-                if white_of_black < 0:
-                    white_of_black = whites
-                elif white_of_black != whites:
-                    consistent = False
-                    break
-            else:
-                if white_of_white < 0:
-                    white_of_white = whites
-                elif white_of_white != whites:
-                    consistent = False
-                    break
-        if not consistent or white_of_black < 0 or white_of_white < 0:
-            continue
-        b, c = white_of_black, degree - white_of_white
-        if b < 1 or c < 1:
-            continue
-        buckets.setdefault((b, c), []).append(mask)
     census: dict[tuple[int, int], list[Coloring]] = {}
-    for (b, c) in sorted(buckets):
-        cols = [Coloring(_colors_of(mask, p), b, c) for mask in buckets[(b, c)]]
-        for col in cols:
-            if not is_perfect_coloring(spec, col):
-                raise AssertionError("census classification disagrees with the direct check")
-        census[(b, c)] = cols
-    return census
+    for mask, (b, c) in _classified(spec):
+        census.setdefault((b, c), []).append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
+    return dict(sorted(census.items()))

@@ -9,6 +9,7 @@ any numeric sentinel.
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 from .errors import InexactDivision
 
@@ -62,15 +63,7 @@ class IntPolynomial:
             return IntPolynomial([other * cf for cf in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -94,6 +87,42 @@ class IntPolynomial:
         for sign, body in parts[1:]:
             text += " %s %s" % (sign, body)
         return text
+
+
+_STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}  # signed digits by width in bytes
+
+
+def convolve(a, b) -> list[int]:
+    """Exact linear convolution of two integer sequences, by one big-int product.
+
+    Kronecker substitution: each sequence is read as the digits of an
+    integer in base 2^(8w), with w bytes enough that no product digit
+    overflows, so the digits of the product are the convolution. Digits
+    go in and out in two's complement; flipping the top bit of each turns
+    that into an offset of half the base, which one subtraction (in) or
+    addition (out) of the same constant removes.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    # every |entry| and every |product digit| is at most sum|a| * sum|b|
+    bound = (sum(map(abs, a)) or 1) * (sum(map(abs, b)) or 1)
+    width = 1 << max(0, bound.bit_length().bit_length() - 3)  # 2^(8w - 1) > bound
+    code = _STRUCT_CODES.get(width)
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # top bit of n digits
+    product = 1
+    for seq in (a, b):
+        if code:
+            data = struct.pack(code % len(seq), *seq)
+        else:
+            data = b"".join(x.to_bytes(width, "little", signed=True) for x in seq)
+        flip = top >> (8 * width * (n - len(seq)))
+        product *= (int.from_bytes(data, "little") ^ flip) - flip
+    data = ((product + top) ^ top).to_bytes(width * n, "little")
+    if code:
+        return list(struct.unpack(code % n, data))
+    return [int.from_bytes(data[i:i + width], "little", signed=True)
+            for i in range(0, width * n, width)]
 
 
 def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclotile import admissibility
+from cyclotile import admissibility, cli
 from cyclotile.cli import run
 
 
@@ -150,6 +150,20 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # running out of memory is an input too large, not the negative verdict of exit 1
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_cyclotomic", exhausted)
+    code, out, err = invoke(capsys, "cyclotomic", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

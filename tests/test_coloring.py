@@ -171,21 +171,44 @@ def test_perfect_parameters():
     assert perfect_parameters(spec, "BBBB") is None
 
 
+def _naive_parameters(spec, colors):
+    # vertex by vertex over the neighbour multisets, independent of the convolution
+    whites = [sum(colors[h] == WHITE for h in spec.neighbors(g)) for g in range(spec.modulus)]
+    of_black = {n for n, ch in zip(whites, colors) if ch == BLACK}
+    of_white = {2 * spec.k - n for n, ch in zip(whites, colors) if ch == WHITE}
+    if len(of_black) != 1 or len(of_white) != 1:
+        return None
+    (b,), (c,) = of_black, of_white
+    return (b, c) if b >= 1 and c >= 1 else None
+
+
 def test_perfect_parameters_agrees_with_checker():
     rng = random.Random(25)
     for _ in range(500):
-        p = rng.randrange(2, 10)
-        spec = CirculantSpec(p, tuple(rng.randrange(p) for _ in range(rng.randrange(1, 3))))
+        p = rng.randrange(1, 10)
+        spec = CirculantSpec(p, tuple(rng.randrange(3 * p) for _ in range(rng.randrange(1, 4))))
         colors = "".join(rng.choice("BW") for _ in range(p))
-        derived = perfect_parameters(spec, colors)
-        if derived is not None:
-            b, c = derived
-            assert is_perfect_coloring(spec, Coloring(colors, b, c))
-        else:
-            # no parameter pair can make this colour vector perfect
-            for b in range(1, 2 * spec.k + 1):
-                for c in range(1, 2 * spec.k + 1):
-                    assert not is_perfect_coloring(spec, Coloring(colors, b, c))
+        naive = _naive_parameters(spec, colors)
+        assert perfect_parameters(spec, colors) == naive, (spec, colors)
+        # is_perfect_coloring holds for exactly the naively counted pair
+        for b in range(1, 2 * spec.k + 1):
+            for c in range(1, 2 * spec.k + 1):
+                assert is_perfect_coloring(spec, Coloring(colors, b, c)) == (naive == (b, c))
+    # wider digits in the convolution: odd jumps make alternation perfect with b = c = 2k = 512
+    spec = CirculantSpec(1024, tuple(rng.randrange(1, 2048, 2) for _ in range(256)))
+    for colors in ("BW" * 512, "".join(rng.choice("BW") for _ in range(1024))):
+        assert perfect_parameters(spec, colors) == _naive_parameters(spec, colors)
+    assert perfect_parameters(spec, "BW" * 512) == (512, 512)
+
+
+def test_perfect_parameters_rejects_bad_colors():
+    spec = CirculantSpec(4, (1,))
+    for colors in ("BBWWBBWW", "BW", "BBWWX"):
+        with pytest.raises(ModulusMismatch):
+            perfect_parameters(spec, colors)
+    for colors in ("BBWX", "bbww"):
+        with pytest.raises(ValueError):
+            perfect_parameters(spec, colors)
 
 
 def test_document_roundtrip():

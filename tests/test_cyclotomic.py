@@ -166,11 +166,15 @@ def test_spectrum_reduction_invariance():
 
 
 def test_spectrum_membership_matches_division():
-    for p in (6, 8, 9, 12):
-        f = IntPolynomial([1, 2, 0, 1, 1])
-        spec = divisor_spectrum(f, p)
-        reduced = reduce_mod_cyclic(f, p)
-        for n in range(1, p + 1):
-            if p % n:
-                continue
-            assert (n in spec.divisors) == cyclotomic_divides(n, reduced)
+    # the second mask is (1 + x + x^2)(1 - x^3): its fold modulo x^3 - 1 is zero
+    folds_to_zero = 0
+    for f in (IntPolynomial([1, 2, 0, 1, 1]), IntPolynomial([1, 1, 1, -1, -1, -1])):
+        for p in (6, 8, 9, 12):
+            spec = divisor_spectrum(f, p)
+            reduced = reduce_mod_cyclic(f, p)
+            for n in range(1, p + 1):
+                if p % n:
+                    continue
+                assert (n in spec.divisors) == cyclotomic_divides(n, reduced), (f, p, n)
+                folds_to_zero += reduce_mod_cyclic(reduced, n).is_zero()
+    assert folds_to_zero > 0

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cyclotile import oracle
 from cyclotile.coloring import (
     CirculantSpec,
     Coloring,
@@ -135,18 +136,46 @@ def test_search_colorings_matches_tiling_search():
                     assert direct == via_tilings, (p, distances, b, c)
 
 
+def _filter_all_states(spec, b, c):
+    p = spec.modulus
+    cols = (Coloring("".join("B" if (mask >> g) & 1 else "W" for g in range(p)), b, c)
+            for mask in range(1 << p))
+    return [col for col in cols if is_perfect_coloring(spec, col)]
+
+
 def test_census_matches_search():
+    # the census and the search share the classifier; both must also match
+    # a plain filter of every state through the convolution-based check
     for p in range(2, 9):
         for distances in [(1,), (0,), (p - 1,), (1, 1), (1, 2 % p)]:
             spec = CirculantSpec(p, distances)
             census = census_colorings(spec)
             for b in range(1, 2 * spec.k + 1):
                 for c in range(1, 2 * spec.k + 1):
-                    expected = list(search_colorings(spec, b, c).found)
+                    expected = _filter_all_states(spec, b, c)
+                    found = list(search_colorings(spec, b, c).found)
+                    assert found == expected, (p, distances, b, c)
                     assert census.get((b, c), []) == expected, (p, distances, b, c)
             # census never reports a pair outside the direct search
             for (b, c), cols in census.items():
                 assert cols == list(search_colorings(spec, b, c).found)
+
+
+def test_search_confirms_each_hit_once(monkeypatch):
+    calls = []
+
+    def counting(spec, col):
+        calls.append(col.colors)
+        return is_perfect_coloring(spec, col)
+
+    monkeypatch.setattr(oracle, "is_perfect_coloring", counting)
+    report = search_colorings(CirculantSpec(8, (1, 2)), 2, 2)
+    assert report.states_examined == 256
+    assert calls == [col.colors for col in report.found] and len(calls) >= 1
+    calls.clear()
+    report = search_colorings(CirculantSpec(8, (1, 2)), 2, 2, limit=1)
+    assert calls == ["BWBWBWBW"]
+    assert report.states_examined == 86
 
 
 def test_census_buckets_are_perfect():

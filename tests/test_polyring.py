@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclotile.errors import InexactDivision
 from cyclotile.polyring import (
     IntPolynomial,
+    convolve,
     eval_at,
     poly_divmod,
     poly_exact_div,
@@ -58,6 +61,28 @@ def test_mul_degree_adds():
         f = IntPolynomial([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, 4)])
         g = IntPolynomial([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, 4)])
         assert (f * g).degree == f.degree + g.degree
+
+
+def _double_loop(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+COEFFICIENTS = st.lists(st.integers(-3, 3) | st.integers(-10**40, 10**40), max_size=40)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(COEFFICIENTS, COEFFICIENTS)
+@example([7], [-3])
+@example([0, 0, 0], [10**40])
+@example([10**40, -10**40], [-10**40, 10**40, -10**40])
+@example([-128, 127, -1], [1, 255, -256])
+@example([], [1])
+def test_convolve_matches_double_loop(a, b):
+    assert convolve(a, b) == _double_loop(a, b)
 
 
 def test_mul_by_int():
