@@ -1,16 +1,23 @@
 """Cyclotomic polynomials and the cyclotomic divisor spectrum of a mask.
 
-The n-th cyclotomic polynomial is obtained by exact division of x^n - 1
-by the cyclotomic polynomials of the proper divisors of n, which keeps
-everything in Z[x] with no floating point anywhere.
+The n-th cyclotomic polynomial comes from the Moebius product
+Phi_n = prod over d | n of (x^d - 1)^mu(n/d). For squarefree n the
+factors with mu(n/d) = +1 are multiplied together and the quotient by
+each factor with mu(n/d) = -1 is taken by exact division, which is two
+nonzero terms per step for a binomial divisor. Any other n reduces to
+its radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only the
+coefficients of the squarefree case are spread out. Everything stays in
+Z[x] with no floating point anywhere (Arnold and Monagan, Calculating
+cyclotomic polynomials, Math. Comp. 2011).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
-from .arith import divisors, is_prime_power, prime_power_base
+from .arith import divisors, factorize, is_prime_power, prime_power_base
 from .errors import ZeroMask
 from .polyring import (
     IntPolynomial,
@@ -30,9 +37,22 @@ def cyclotomic(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = power_minus_one(n)
-    for d in divisors(n)[:-1]:
-        poly = poly_exact_div(poly, cyclotomic(d))
+    radical = math.prod(p for p, _ in factorize(n))
+    if radical < n:
+        base = cyclotomic(radical).coeffs
+        spread = [0] * ((len(base) - 1) * (n // radical) + 1)
+        spread[::n // radical] = base
+        return IntPolynomial(spread)
+    # n squarefree: mu(n/d) = -1 exactly when n/d has an odd number of prime factors
+    divs = divisors(n)
+    negative = {d for d in divs if len(factorize(n // d)) % 2}
+    poly = IntPolynomial([1])
+    for d in divs:
+        if d not in negative:
+            poly = poly * power_minus_one(d)
+    for d in reversed(divs):  # largest first, so later divisions walk shorter dividends
+        if d in negative:
+            poly = poly_exact_div(poly, power_minus_one(d))
     return poly
 
 

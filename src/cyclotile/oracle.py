@@ -59,12 +59,20 @@ def search_colorings(
 
 
 def search_tilings(u: Tile, m: int) -> list[Tile]:
-    """Every 0/1 tile that covers the group m-fold with tile u, in counter order."""
+    """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
+
+    Summing the cover over the group gives sum(u) * sum(v) = P * m, so a
+    mask with any other number of ones is skipped before its Tile is
+    built; verify_multitiling still decides every remaining mask.
+    """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
+    u_sum = sum(u.values)
     out = []
     for mask in range(1 << p):
+        if u_sum * mask.bit_count() != p * m:
+            continue
         v = Tile(tuple((mask >> g) & 1 for g in range(p)))
         if verify_multitiling(u, v, m):
             out.append(v)

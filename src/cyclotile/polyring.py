@@ -128,7 +128,9 @@ def convolve(a, b) -> list[int]:
 def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """Quotient and remainder of f by g over Z[x].
 
-    Every elimination step must divide exactly; g monic always works, and a
+    Each elimination step touches only the nonzero coefficients of g, so
+    dividing by a sparse g such as x^d - 1 costs its number of terms per
+    step. Every step must divide exactly; g monic always works, and a
     non-monic g raises InexactDivision as soon as a leading term fails to
     divide. Division by the zero polynomial raises ZeroDivisionError.
     """
@@ -139,6 +141,8 @@ def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntP
     rem = list(f.coeffs)
     lead = g.coeffs[-1]
     shift = len(g.coeffs) - 1
+    # only the nonzero lower terms of g; the leading one cancels rem[i], which is not read again
+    terms = [(j, gc) for j, gc in enumerate(g.coeffs[:shift]) if gc]
     quot = [0] * (len(rem) - shift)
     for i in range(len(rem) - 1, shift - 1, -1):
         cf = rem[i]
@@ -147,9 +151,10 @@ def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntP
         q, leftover = divmod(cf, lead)
         if leftover:
             raise InexactDivision("leading coefficient %d does not divide %d" % (lead, cf))
-        quot[i - shift] = q
-        for j, gc in enumerate(g.coeffs):
-            rem[i - shift + j] -= q * gc
+        base = i - shift
+        quot[base] = q
+        for j, gc in terms:
+            rem[base + j] -= q * gc
     return IntPolynomial(quot), IntPolynomial(rem[:shift])
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -13,6 +14,7 @@ from cyclotile.errors import ZeroMask
 from cyclotile.polyring import (
     IntPolynomial,
     eval_at,
+    poly_exact_div,
     power_minus_one,
     reduce_mod_cyclic,
 )
@@ -37,12 +39,28 @@ def test_degree_is_totient():
 
 
 def test_divisor_product_identity():
-    for n in range(1, 80):
+    # the product goes through the multiplication kernel, not division
+    for n in list(range(1, 601)) + [2310, 4600, 4620, 30030]:
         prod = IntPolynomial([1])
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * cyclotomic(d)
-        assert prod.coeffs == power_minus_one(n).coeffs
+        assert prod.coeffs == power_minus_one(n).coeffs, n
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_cyclotomic(n):
+    """x^n - 1 divided in turn by Phi_d for every proper divisor d of n."""
+    poly = power_minus_one(n)
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly_exact_div(poly, _recursive_cyclotomic(d))
+    return poly
+
+
+def test_matches_recursive_division():
+    for n in range(1, 201):
+        assert cyclotomic(n).coeffs == _recursive_cyclotomic(n).coeffs, n
 
 
 def test_value_at_one():
@@ -152,7 +170,7 @@ def test_divisor_product_at_one_closed_form():
 def test_cyclotomic_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for n in range(1, 301):
+    for n in list(range(1, 301)) + [2310, 4620]:
         expected = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
         assert cyclotomic(n).coeffs == tuple(int(cf) for cf in expected), n
 

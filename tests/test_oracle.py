@@ -1,6 +1,7 @@
 """The brute-force enumeration oracles and their agreement with the constructions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from cyclotile.tiling import (
     Tile,
     construct_tiling_prime_power,
     multitiling_exists,
+    verify_multitiling,
 )
 
 
@@ -85,6 +87,32 @@ def test_search_tilings_counter_order():
 def test_search_tilings_too_large():
     with pytest.raises(SearchSpaceTooLarge):
         search_tilings(Tile((1,) + (0,) * 24), 1)
+
+
+def test_search_tilings_matches_unfiltered_filter():
+    # search_tilings skips masks by their number of ones; it must find
+    # exactly what checking every mask finds, for signed tiles, tiles of
+    # sum zero (v = 0 and the periodic v cover 1 - x^h zero times) and m = 0
+    rng = random.Random(41)
+    cases = [(Tile((1, 0, 1, 0)), 1), (Tile((1, 1, 0, 0, 0, 0)), 1), (Tile((2, -1, 1)), 2)]
+    for _ in range(60):
+        p = rng.randrange(1, 11)
+        values = [rng.randrange(-2, 3) for _ in range(p)]
+        if rng.random() < 0.4:
+            values[rng.randrange(p)] -= sum(values)
+        cases.append((Tile(tuple(values)), rng.choice([0, 0, 1, 2, -1, sum(values)])))
+    for p in range(2, 11):
+        h = rng.randrange(1, p)
+        cases.append((Tile(tuple(1 if g == 0 else -1 if g == h else 0 for g in range(p))), 0))
+    hits = zero_sum_hits = 0
+    for u, m in cases:
+        p = u.modulus
+        everything = (Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p))
+        expected = [v for v in everything if verify_multitiling(u, v, m)]
+        assert search_tilings(u, m) == expected, (u, m)
+        hits += len(expected)
+        zero_sum_hits += sum(u.values) == 0 and m == 0 and len(expected) > 1
+    assert hits > 50 and zero_sum_hits > 10
 
 
 def _check_agreement(spec, b, c):

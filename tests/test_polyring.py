@@ -126,6 +126,47 @@ def test_divmod_random_roundtrip():
         assert r.is_zero() or r.degree < g.degree
 
 
+def _dense_divmod(f, g):
+    """Schoolbook division over every coefficient of g, zeros included."""
+    rem, lead, shift = list(f.coeffs), g.coeffs[-1], len(g.coeffs) - 1
+    quot = [0] * max(0, len(rem) - shift)
+    for i in range(len(rem) - 1, shift - 1, -1):
+        q, leftover = divmod(rem[i], lead)
+        if leftover:
+            raise InexactDivision(i)
+        quot[i - shift] = q
+        for j, gc in enumerate(g.coeffs):
+            rem[i - shift + j] -= q * gc
+    return IntPolynomial(quot), IntPolynomial(rem[:shift])
+
+
+SMALL = st.integers(-9, 9)
+SPARSE = st.lists(st.just(0) | st.just(0) | st.just(0) | SMALL, max_size=30)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(SPARSE, st.sampled_from([1, -1, 2, -2, 3, -3]), SPARSE, st.lists(SMALL, max_size=20))
+@example([0] * 11, 1, [], [5])
+@example([-1] + [0] * 6, 1, [1, 0, 0, 1], [1])
+@example([1], 2, [1], [])
+@example([0, 1], 2, [], [1])
+def test_divmod_sparse_divisor(lower, lead, cofactor, extra):
+    # agrees with the dense division, InexactDivision included; a monic g never raises
+    g = IntPolynomial(lower + [lead])
+    f = IntPolynomial(cofactor) * g + IntPolynomial(extra)
+    try:
+        expected = _dense_divmod(f, g)
+    except InexactDivision:
+        assert abs(lead) > 1
+        with pytest.raises(InexactDivision):
+            poly_divmod(f, g)
+        return
+    q, r = poly_divmod(f, g)
+    assert (q, r) == expected
+    assert (q * g + r).coeffs == f.coeffs
+    assert r.is_zero() or r.degree < g.degree
+
+
 def test_exact_div_recovers_factor():
     rng = random.Random(3)
     for _ in range(100):
