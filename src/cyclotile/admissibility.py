@@ -11,7 +11,6 @@ all the way to an explicit perfect colouring.
 
 from __future__ import annotations
 
-import dataclasses
 from math import gcd
 
 from .arith import crt, factorize, is_prime_power
@@ -24,20 +23,21 @@ from .coloring import (
     tiling_to_coloring,
 )
 from .errors import BoundViolated, Inadmissible, NotExists, NotPrimePowerSum
+from .record import Record
 from .tiling import construct_tiling_prime_power, multitiling_exists
 
 
-@dataclasses.dataclass(frozen=True)
-class ParamTriple:
+class ParamTriple(Record):
     """Colour parameters b, c and the number of distances k, all positive."""
 
-    b: int
-    c: int
-    k: int
+    __slots__ = ("b", "c", "k")
 
-    def __post_init__(self):
-        if self.b < 1 or self.c < 1 or self.k < 1:
+    def __init__(self, b: int, c: int, k: int):
+        if b < 1 or c < 1 or k < 1:
             raise ValueError("b, c and k must all be positive")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "k", k)
 
     @property
     def color_sum(self) -> int:
@@ -49,57 +49,71 @@ class ParamTriple:
         return (self.b + self.c) // gcd(self.b, self.c)
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed instance of the inequality, at the tightest exponent."""
 
-    q: int
-    t: int
-    bound: int
+    __slots__ = ("q", "t", "bound")
+
+    def __init__(self, q: int, t: int, bound: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "bound", bound)
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    violations: tuple[Violation, ...]
+class AdmissibilityVerdict(Record):
+    __slots__ = ("admissible", "violations")
+
+    def __init__(self, admissible: bool, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.admissible
 
 
-@dataclasses.dataclass(frozen=True)
-class GraphConditionVerdict:
+class GraphConditionVerdict(Record):
     """Outcome of the divisibility condition on the structured mask's spectrum."""
 
-    modulus: int
-    divisors: tuple[int, ...]
-    prime_power_divisors: tuple[int, ...]
-    divisor_product_at_one: int
-    prime_power_product_at_one: int
-    reduced_sum: int
-    passed: bool
-    exact: bool
+    __slots__ = ("modulus", "divisors", "prime_power_divisors", "divisor_product_at_one",
+                 "prime_power_product_at_one", "reduced_sum", "passed", "exact")
+
+    def __init__(self, modulus: int, divisors: tuple[int, ...],
+                 prime_power_divisors: tuple[int, ...], divisor_product_at_one: int,
+                 prime_power_product_at_one: int, reduced_sum: int, passed: bool, exact: bool):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "prime_power_divisors", prime_power_divisors)
+        object.__setattr__(self, "divisor_product_at_one", divisor_product_at_one)
+        object.__setattr__(self, "prime_power_product_at_one", prime_power_product_at_one)
+        object.__setattr__(self, "reduced_sum", reduced_sum)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "exact", exact)
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclasses.dataclass(frozen=True)
-class PerPrimeResidues:
+class PerPrimeResidues(Record):
     """Residue targets for one prime power of N, with the modulus they live in."""
 
-    q: int
-    t: int
-    modulus: int
-    residues: tuple[int, ...]
+    __slots__ = ("q", "t", "modulus", "residues")
+
+    def __init__(self, q: int, t: int, modulus: int, residues: tuple[int, ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConstructionWitness:
-    params: ParamTriple
-    spec: CirculantSpec
-    per_prime_residues: tuple[PerPrimeResidues, ...]
-    coloring: Coloring | None
+class ConstructionWitness(Record):
+    __slots__ = ("params", "spec", "per_prime_residues", "coloring")
+
+    def __init__(self, params: ParamTriple, spec: CirculantSpec,
+                 per_prime_residues: tuple[PerPrimeResidues, ...], coloring: Coloring | None):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "per_prime_residues", per_prime_residues)
+        object.__setattr__(self, "coloring", coloring)
 
 
 def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:
@@ -260,7 +274,7 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     col = tiling_to_coloring(v, params.b, params.c)
     if not is_perfect_coloring(witness.spec, col):
         raise AssertionError("constructed colouring failed the graph-side check")
-    return dataclasses.replace(witness, coloring=col)
+    return ConstructionWitness(witness.params, witness.spec, witness.per_prime_residues, col)
 
 
 def witness_to_document(witness: ConstructionWitness) -> dict:

@@ -14,10 +14,9 @@ c-tiling for the structured tile built from the distances and (b, c).
 
 from __future__ import annotations
 
-import dataclasses
-
 from .errors import ModulusMismatch, NotZeroOne
 from .polyring import convolve
+from .record import Record
 from .tiling import Tile
 
 BLACK = "B"
@@ -25,25 +24,25 @@ WHITE = "W"
 _INDICATOR = bytes.maketrans(b"BW", b"\x01\x00")  # colour letters to the black indicator
 
 
-@dataclasses.dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(Record):
     """A circulant graph: group order and the multiset of jump distances.
 
     Distances are kept exactly as given, neither reduced mod P nor
     deduplicated; the max distance below is the max of the raw values.
     """
 
-    modulus: int
-    distances: tuple[int, ...]
+    __slots__ = ("modulus", "distances")
 
-    def __post_init__(self):
-        object.__setattr__(self, "distances", tuple(self.distances))
-        if self.modulus < 1:
+    def __init__(self, modulus: int, distances: tuple[int, ...]):
+        distances = tuple(distances)
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if not self.distances:
+        if not distances:
             raise ValueError("at least one distance is required")
-        if any(l < 0 for l in self.distances):
+        if any(l < 0 for l in distances):
             raise ValueError("distances must be nonnegative")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "distances", distances)
 
     @property
     def k(self) -> int:
@@ -63,25 +62,25 @@ class CirculantSpec:
         return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A 2-colouring of Z/PZ with its intended parameters (b, c).
 
     Monochromatic vectors are representable; they simply can never pass
     the perfection check while b and c are positive.
     """
 
-    colors: str
-    b: int
-    c: int
+    __slots__ = ("colors", "b", "c")
 
-    def __post_init__(self):
-        if not self.colors:
+    def __init__(self, colors: str, b: int, c: int):
+        if not colors:
             raise ValueError("empty colouring")
-        if set(self.colors) - {BLACK, WHITE}:
+        if set(colors) - {BLACK, WHITE}:
             raise ValueError("colors must be a string over B and W")
-        if self.b < 1 or self.c < 1:
+        if b < 1 or c < 1:
             raise ValueError("parameters b and c must be positive")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def modulus(self) -> int:

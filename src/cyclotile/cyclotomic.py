@@ -1,31 +1,26 @@
 """Cyclotomic polynomials and the cyclotomic divisor spectrum of a mask.
 
-The n-th cyclotomic polynomial comes from the Moebius product
-Phi_n = prod over d | n of (x^d - 1)^mu(n/d). For squarefree n the
-factors with mu(n/d) = +1 are multiplied together and the quotient by
-each factor with mu(n/d) = -1 is taken by exact division, which is two
-nonzero terms per step for a binomial divisor. Any other n reduces to
-its radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only the
-coefficients of the squarefree case are spread out. Everything stays in
-Z[x] with no floating point anywhere (Arnold and Monagan, Calculating
-cyclotomic polynomials, Math. Comp. 2011).
+For squarefree n > 1 the n-th cyclotomic polynomial is the Moebius
+product Phi_n = prod over d | n of (1 - x^d)^mu(n/d), read as a power
+series truncated at degree phi(n), the degree of Phi_n. Multiplying by
+1 - x^d is a descending pass a[i] -= a[i - d], and dividing by it, that
+is multiplying by 1 + x^d + x^2d + ..., an ascending pass a[i] += a[i - d];
+no intermediate is longer than the result. Any other n reduces to its
+radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only the coefficients
+of the squarefree case are spread out, and Phi_1 = x - 1. Everything
+stays in Z[x] with no floating point anywhere (Arnold and Monagan,
+Calculating cyclotomic polynomials, Math. Comp. 2011).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 from .arith import divisors, factorize, is_prime_power, prime_power_base
 from .errors import ZeroMask
-from .polyring import (
-    IntPolynomial,
-    poly_divmod,
-    poly_exact_div,
-    power_minus_one,
-    reduce_mod_cyclic,
-)
+from .polyring import IntPolynomial, poly_divmod, reduce_mod_cyclic
+from .record import Record
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,23 +32,29 @@ def cyclotomic(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    radical = math.prod(p for p, _ in factorize(n))
+    if n == 1:
+        return IntPolynomial([-1, 1])
+    primes = [p for p, _ in factorize(n)]
+    radical = math.prod(primes)
     if radical < n:
         base = cyclotomic(radical).coeffs
         spread = [0] * ((len(base) - 1) * (n // radical) + 1)
         spread[::n // radical] = base
         return IntPolynomial(spread)
-    # n squarefree: mu(n/d) = -1 exactly when n/d has an odd number of prime factors
-    divs = divisors(n)
+    top = math.prod(p - 1 for p in primes)  # phi(n); factors with d > phi(n) act beyond it
+    divs = [d for d in divisors(n) if d <= top]
+    # mu(n/d) = -1 exactly when n/d has an odd number of prime factors
     negative = {d for d in divs if len(factorize(n // d)) % 2}
-    poly = IntPolynomial([1])
+    coeffs = [1] + [0] * top
     for d in divs:
         if d not in negative:
-            poly = poly * power_minus_one(d)
-    for d in reversed(divs):  # largest first, so later divisions walk shorter dividends
+            for i in range(top, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+    for d in divs:
         if d in negative:
-            poly = poly_exact_div(poly, power_minus_one(d))
-    return poly
+            for i in range(d, top + 1):
+                coeffs[i] += coeffs[i - d]
+    return IntPolynomial(coeffs)
 
 
 def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
@@ -64,13 +65,16 @@ def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
     return rem.is_zero()
 
 
-@dataclasses.dataclass(frozen=True)
-class DivisorSpectrum:
+class DivisorSpectrum(Record):
     """Which cyclotomic polynomials with index dividing P divide a given mask."""
 
-    modulus: int
-    divisors: frozenset[int]
-    prime_power_subset: frozenset[int]
+    __slots__ = ("modulus", "divisors", "prime_power_subset")
+
+    def __init__(self, modulus: int, divisors: frozenset[int],
+                 prime_power_subset: frozenset[int]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "prime_power_subset", prime_power_subset)
 
     def divisor_product(self) -> IntPolynomial:
         """Product of the cyclotomic divisors, a unit-free divisor of x^P - 1."""

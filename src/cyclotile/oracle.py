@@ -9,23 +9,26 @@ vertex 0 in the least significant bit, Black encoded as 1.
 from __future__ import annotations
 
 import collections
-import dataclasses
 
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
 from .errors import SearchSpaceTooLarge
+from .record import Record
 from .tiling import Tile, verify_multitiling
 
 MAX_EXHAUSTIVE_ORDER = 24
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchReport:
-    spec: CirculantSpec
-    b: int
-    c: int
-    found: tuple[Coloring, ...]
-    exhausted: bool
-    states_examined: int
+class SearchReport(Record):
+    __slots__ = ("spec", "b", "c", "found", "exhausted", "states_examined")
+
+    def __init__(self, spec: CirculantSpec, b: int, c: int, found: tuple[Coloring, ...],
+                 exhausted: bool, states_examined: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "exhausted", exhausted)
+        object.__setattr__(self, "states_examined", states_examined)
 
 
 def _colors_of(mask: int, modulus: int) -> str:

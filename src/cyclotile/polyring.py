@@ -8,17 +8,16 @@ any numeric sentinel.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 
 from .errors import InexactDivision
+from .record import Record
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class IntPolynomial:
+class IntPolynomial(Record):
     """An element of Z[x] in dense ascending-coefficient form."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)

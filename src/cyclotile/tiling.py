@@ -11,8 +11,6 @@ prime-power witness are built from that same spectrum.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .arith import is_prime_power
 from .cyclotomic import (
     DivisorSpectrum,
@@ -32,48 +30,54 @@ from .polyring import (
     power_minus_one,
     reduce_mod_cyclic,
 )
+from .record import Record
 
 
-@dataclasses.dataclass(frozen=True)
-class Tile:
+class Tile(Record):
     """An integer-valued function on Z/PZ, one value per group element."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]):
+        values = tuple(values)
+        if not values:
             raise ValueError("a tile needs at least one value")
+        object.__setattr__(self, "values", values)
 
     @property
     def modulus(self) -> int:
         return len(self.values)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(Record):
     """Outcome of the multitiling divisibility test, with the numbers behind it.
 
     spectrum is the divisor spectrum of the mask, None only for a zero mask.
     """
 
-    passed: bool
-    multiplicity: int
-    mask_sum: int
-    prime_power_product: int | None
-    spectrum: DivisorSpectrum | None
+    __slots__ = ("passed", "multiplicity", "mask_sum", "prime_power_product", "spectrum")
+
+    def __init__(self, passed: bool, multiplicity: int, mask_sum: int,
+                 prime_power_product: int | None, spectrum: DivisorSpectrum | None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "mask_sum", mask_sum)
+        object.__setattr__(self, "prime_power_product", prime_power_product)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclasses.dataclass(frozen=True)
-class MultitilingWitness:
+class MultitilingWitness(Record):
     """A constructed m-multitiling together with its polynomial certificate."""
 
-    tile: Tile
-    multiplier: IntPolynomial
-    multiplicity: int
+    __slots__ = ("tile", "multiplier", "multiplicity")
+
+    def __init__(self, tile: Tile, multiplier: IntPolynomial, multiplicity: int):
+        object.__setattr__(self, "tile", tile)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def mask_polynomial(u: Tile) -> IntPolynomial:

@@ -1,9 +1,13 @@
 """End-to-end checks of the command-line surface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cyclotile
 from cyclotile import admissibility, cli
 from cyclotile.cli import run
 
@@ -289,3 +293,12 @@ def test_verify_of_every_construct_output(tmp_path, capsys):
         path.write_text(out)
         code, _, _ = invoke(capsys, "verify", str(path))
         assert code == 0, (b, c, k)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every cold CLI process pays for what importing the CLI loads; these two cost ~8 ms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+    code = "import sys, cyclotile.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

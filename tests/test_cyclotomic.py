@@ -63,6 +63,14 @@ def test_matches_recursive_division():
         assert cyclotomic(n).coeffs == _recursive_cyclotomic(n).coeffs, n
 
 
+def test_new_prime_identity_at_seven_primes():
+    # Phi_m(x^p) = Phi_mp(x) * Phi_m(x) for a prime p not dividing m; here 510510 = 30030 * 17
+    base = cyclotomic(30030).coeffs
+    spread = [0] * (17 * (len(base) - 1) + 1)
+    spread[::17] = base
+    assert (cyclotomic(510510) * cyclotomic(30030)).coeffs == tuple(spread)
+
+
 def test_value_at_one():
     # p at prime powers, 1 elsewhere above 1, 0 at n=1
     assert eval_at(cyclotomic(1), 1) == 0
