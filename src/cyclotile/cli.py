@@ -10,24 +10,12 @@ and 3 means an internal invariant failed, which is a bug in cyclotile.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 
-from .admissibility import (
-    ParamTriple,
-    check_admissible,
-    check_graph_condition,
-    construct_distances,
-    construct_perfect_coloring,
-    witness_to_document,
-)
-from .arith import is_prime_power
-from .coloring import CirculantSpec, Coloring, is_perfect_coloring, parse_document
-from .cyclotomic import cyclotomic
+# Each handler imports what it calls, so a cold process loads only the modules
+# its subcommand needs: verifying a colouring never loads the algebra.
 from .errors import CyclotileError
-from .oracle import search_colorings
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -68,12 +56,23 @@ def _admissibility_payload(verdict) -> dict:
 
 
 def _cmd_params_check(args: argparse.Namespace) -> int:
+    from .admissibility import ParamTriple, check_admissible
+
     verdict = check_admissible(ParamTriple(args.b, args.c, args.k))
     _emit(_admissibility_payload(verdict))
     return 0 if verdict.admissible else 1
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .admissibility import (
+        ParamTriple,
+        check_admissible,
+        construct_distances,
+        construct_perfect_coloring,
+        witness_to_document,
+    )
+    from .arith import is_prime_power
+
     params = ParamTriple(args.b, args.c, args.k)
     verdict = check_admissible(params)
     if not verdict.admissible:
@@ -94,6 +93,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .coloring import Coloring, is_perfect_coloring, parse_document
+
     with open(args.file, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     spec, b, c, colors = parse_document(doc)
@@ -107,6 +108,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "perfect": ok,
         })
         return 0 if ok else 1
+    from .admissibility import check_graph_condition
+
     verdict = check_graph_condition(spec, b, c)
     _emit({
         "kind": "parameters",
@@ -122,6 +125,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .coloring import CirculantSpec
+    from .oracle import search_colorings
+
     spec = CirculantSpec(args.P, args.distances)
     report = search_colorings(spec, args.b, args.c, limit=args.limit)
     _emit({
@@ -138,12 +144,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_cyclotomic(args: argparse.Namespace) -> int:
+    from .cyclotomic import cyclotomic
+
     poly = cyclotomic(args.n)
     _emit({"n": args.n, "coeffs": list(poly.coeffs)})
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from .admissibility import check_graph_condition
+    from .coloring import CirculantSpec
+
     spec = CirculantSpec(args.P, args.distances)
     verdict = check_graph_condition(spec, args.b, args.c)
     _emit({
@@ -163,6 +174,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _table_rows(k: int, max_sum: int) -> list[dict]:
+    import math
+
+    from .admissibility import ParamTriple, check_admissible
+    from .arith import is_prime_power
+
     rows = []
     for s in range(2, max_sum + 1):
         for b in range(1, s):
@@ -186,6 +202,8 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    import csv
+
     rows = _table_rows(args.k, args.max_sum)
     if args.format == "json":
         _emit({"k": args.k, "max_sum": args.max_sum, "rows": rows})

@@ -17,7 +17,6 @@ from __future__ import annotations
 from .errors import ModulusMismatch, NotZeroOne
 from .polyring import convolve
 from .record import Record
-from .tiling import Tile
 
 BLACK = "B"
 WHITE = "W"
@@ -94,6 +93,8 @@ def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
     (M - l) mod P, accumulating collisions. The central value may be
     negative when b + c < 2k; that is fine.
     """
+    from .tiling import Tile  # on first use: verifying a colouring needs no tile algebra
+
     p = spec.modulus
     m = spec.max_distance
     values = [0] * p
@@ -140,6 +141,8 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
 
 def coloring_to_tiling(col: Coloring) -> Tile:
     """Indicator tile of the black class."""
+    from .tiling import Tile
+
     return Tile(tuple(1 if ch == BLACK else 0 for ch in col.colors))
 
 

@@ -42,7 +42,9 @@ def search_colorings(
 
     The census's classifier labels the states; only its (b, c) hits become
     colourings. With a limit the search stops after that many hits and
-    the report says whether the enumeration ran to the end anyway.
+    the report says whether the enumeration ran to the end anyway. No
+    vertex has more than 2k neighbours, so when b or c exceeds 2k no state
+    can match and the report of the full sweep is returned without one.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
@@ -50,6 +52,10 @@ def search_colorings(
                                   % (p, MAX_EXHAUSTIVE_ORDER))
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    if max(b, c) > 2 * spec.k:
+        return SearchReport(spec, b, c, (), True, 1 << p)
     found = []
     examined = 1 << p
     for mask, params in _classified(spec):

@@ -69,6 +69,22 @@ def test_search_colorings_too_large():
     assert not report.exhausted
 
 
+def test_search_colorings_rejects_nonpositive_limit():
+    for limit in (0, -3):
+        with pytest.raises(ValueError):
+            search_colorings(CirculantSpec(4, (1,)), 1, 1, limit=limit)
+
+
+def test_search_colorings_beyond_degree_skips_the_sweep():
+    # b or c above 2k matches no state; the report is that of a full sweep, at once
+    for spec, b, c in [(CirculantSpec(6, (1,)), 3, 1), (CirculantSpec(6, (1, 2)), 1, 5),
+                       (CirculantSpec(30, (1, 2)), 9, 1)]:
+        report = search_colorings(spec, b, c, limit=1)
+        assert report == oracle.SearchReport(spec, b, c, (), True, 2**spec.modulus)
+    with pytest.raises(SearchSpaceTooLarge):
+        search_colorings(CirculantSpec(30, (1, 2)), 9, 1)
+
+
 def test_search_tilings_examples():
     u = Tile((1, 0, 1, 0))
     found = [v.values for v in search_tilings(u, 1)]
@@ -178,8 +194,8 @@ def test_census_matches_search():
         for distances in [(1,), (0,), (p - 1,), (1, 1), (1, 2 % p)]:
             spec = CirculantSpec(p, distances)
             census = census_colorings(spec)
-            for b in range(1, 2 * spec.k + 1):
-                for c in range(1, 2 * spec.k + 1):
+            for b in range(1, 2 * spec.k + 2):
+                for c in range(1, 2 * spec.k + 2):
                     expected = _filter_all_states(spec, b, c)
                     found = list(search_colorings(spec, b, c).found)
                     assert found == expected, (p, distances, b, c)

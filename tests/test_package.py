@@ -1,0 +1,64 @@
+"""The package namespace: each public name loads its submodule on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cyclotile
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+
+
+def run_fresh(code: str, *argv: str) -> list:
+    """The JSON value on the last stdout line of a new `python -S` process running code."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_public_name_is_its_home_object():
+    assert sorted(cyclotile._HOME) == sorted(cyclotile.__all__)
+    # every submodule is loaded first: loading cyclotile.cyclotomic binds the submodule
+    # on the package under the name of the public function cyclotomic
+    code = """if True:
+        import importlib, json, sys
+        import cyclotile
+        homes = {name: importlib.import_module("cyclotile." + home)
+                 for name, home in cyclotile._HOME.items()}
+        print(json.dumps([name for name in cyclotile.__all__
+                          if getattr(cyclotile, name) is not getattr(homes[name], name)]))
+    """
+    assert run_fresh(code) == []
+    for name in cyclotile.__all__:
+        home = importlib.import_module("cyclotile." + cyclotile._HOME[name])
+        assert getattr(cyclotile, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(cyclotile.__all__) <= set(dir(cyclotile))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclotile.no_such_name  # noqa: B018
+    assert not hasattr(cyclotile, "no_such_name")
+
+
+def test_verify_colouring_loads_no_algebra(tmp_path):
+    doc = tmp_path / "coloring.json"
+    doc.write_text(json.dumps({"version": 1, "P": 4, "distances": [1], "b": 1, "c": 1,
+                               "colors": "BBWW"}))
+    code = """if True:
+        import json, sys
+        from cyclotile import cli
+        assert cli.run(["verify", sys.argv[1]]) == 0
+        print(json.dumps(sorted(set(sys.modules) & {
+            "cyclotile.admissibility", "cyclotile.oracle", "cyclotile.tiling",
+            "cyclotile.cyclotomic", "cyclotile.arith", "csv"})))
+    """
+    assert run_fresh(code, str(doc)) == []
