@@ -52,6 +52,7 @@ _HOME = {
     "CyclotileError": "errors",
     "Inadmissible": "errors",
     "InexactDivision": "errors",
+    "InputTooLarge": "errors",
     "ModulusMismatch": "errors",
     "MultiplicityOutOfRange": "errors",
     "NotExists": "errors",
@@ -94,6 +95,7 @@ __all__ = [
     "GraphConditionVerdict",
     "Inadmissible",
     "InexactDivision",
+    "InputTooLarge",
     "IntPolynomial",
     "ModulusMismatch",
     "MultiplicityOutOfRange",

@@ -22,9 +22,12 @@ from .coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from .errors import BoundViolated, Inadmissible, NotExists, NotPrimePowerSum
+from .errors import BoundViolated, Inadmissible, InputTooLarge, NotExists, NotPrimePowerSum
 from .record import Record
 from .tiling import construct_tiling_prime_power, multitiling_exists
+
+# a construction lists k distances on a group of order at most 8k; larger k is refused
+MAX_DISTANCES = 100_000
 
 
 class ParamTriple(Record):
@@ -232,6 +235,8 @@ def construct_distances(params: ParamTriple) -> ConstructionWitness:
 def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
     # construct_distances without its closing divisibility check, which
     # construct_perfect_coloring makes through the tiling construction.
+    if params.k > MAX_DISTANCES:
+        raise InputTooLarge("k = %d distances is above the cap of %d" % (params.k, MAX_DISTANCES))
     verdict = check_admissible(params)
     if not verdict.admissible:
         raise Inadmissible(verdict)

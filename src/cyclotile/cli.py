@@ -15,10 +15,11 @@ import sys
 
 # Each handler imports what it calls, so a cold process loads only the modules
 # its subcommand needs: verifying a colouring never loads the algebra.
-from .errors import CyclotileError
+from .errors import CyclotileError, InputTooLarge
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+MAX_TABLE_ROWS = 100_000  # --max-sum 447 is the largest table within the cap
 
 
 def _positive(text: str) -> int:
@@ -179,13 +180,17 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
     from .admissibility import ParamTriple, check_admissible
     from .arith import is_prime_power
 
+    count = max_sum * (max_sum - 1) // 2  # s - 1 rows for each s = 2, ..., max_sum
+    if count > MAX_TABLE_ROWS:
+        raise InputTooLarge("--max-sum %d gives %d rows, above the cap of %d"
+                            % (max_sum, count, MAX_TABLE_ROWS))
     rows = []
     for s in range(2, max_sum + 1):
+        pp = is_prime_power(s)
         for b in range(1, s):
             c = s - b
             verdict = check_admissible(ParamTriple(b, c, k))
             worst = verdict.violations[0] if verdict.violations else None
-            pp = is_prime_power(s)
             constructive = (s <= 2 * k + math.gcd(b, c)) if pp else None
             rows.append({
                 "b": b,

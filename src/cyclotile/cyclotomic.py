@@ -18,15 +18,18 @@ import functools
 import math
 
 from .arith import divisors, factorize, is_prime_power, prime_power_base
-from .errors import ZeroMask
+from .errors import InputTooLarge, ZeroMask
 from .polyring import IntPolynomial, poly_divmod, reduce_mod_cyclic
 from .record import Record
+
+MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anything is allocated
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial.
 
+    Raises InputTooLarge when its degree phi(n) exceeds MAX_DEGREE.
     Memoized; the cache is written once per key, so concurrent readers
     only ever observe finished values.
     """
@@ -36,13 +39,16 @@ def cyclotomic(n: int) -> IntPolynomial:
         return IntPolynomial([-1, 1])
     primes = [p for p, _ in factorize(n)]
     radical = math.prod(primes)
+    top = n // radical * math.prod(p - 1 for p in primes)  # phi(n), the degree
+    if top > MAX_DEGREE:
+        raise InputTooLarge("the %d-th cyclotomic polynomial has degree %d, above the cap of %d"
+                            % (n, top, MAX_DEGREE))
     if radical < n:
         base = cyclotomic(radical).coeffs
-        spread = [0] * ((len(base) - 1) * (n // radical) + 1)
+        spread = [0] * (top + 1)
         spread[::n // radical] = base
         return IntPolynomial(spread)
-    top = math.prod(p - 1 for p in primes)  # phi(n); factors with d > phi(n) act beyond it
-    divs = [d for d in divisors(n) if d <= top]
+    divs = [d for d in divisors(n) if d <= top]  # factors with d > phi(n) act beyond it
     # mu(n/d) = -1 exactly when n/d has an odd number of prime factors
     negative = {d for d in divs if len(factorize(n // d)) % 2}
     coeffs = [1] + [0] * top

@@ -51,3 +51,7 @@ class BoundViolated(CyclotileError):
 
 class SearchSpaceTooLarge(CyclotileError):
     """Exhaustive enumeration was refused because 2^P is out of reach."""
+
+
+class InputTooLarge(CyclotileError):
+    """The input is beyond the size this package decides exactly or within bounded work."""

@@ -9,6 +9,7 @@ import pytest
 
 from cyclotile import admissibility, coloring, tiling
 from cyclotile.admissibility import (
+    MAX_DISTANCES,
     ParamTriple,
     check_admissible,
     check_graph_condition,
@@ -17,7 +18,7 @@ from cyclotile.admissibility import (
     witness_to_document,
 )
 from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document
-from cyclotile.errors import BoundViolated, Inadmissible, NotPrimePowerSum
+from cyclotile.errors import BoundViolated, Inadmissible, InputTooLarge, NotPrimePowerSum
 from cyclotile.oracle import search_colorings
 from cyclotile.tiling import Tile, construct_multitiling, construct_tiling_prime_power
 
@@ -210,6 +211,18 @@ def test_construct_perfect_coloring_rejects_non_prime_power_sum():
         construct_perfect_coloring(ParamTriple(5, 7, 6))
     with pytest.raises(NotPrimePowerSum):
         construct_perfect_coloring(ParamTriple(3, 3, 3))
+
+
+def test_construction_refuses_too_many_distances():
+    # admissible, since b + c = 999999999999999989 is prime and 2k + 1 exceeds it; a list
+    # of k distances would take all the memory there is
+    huge = ParamTriple(1, 999999999999999988, 5 * 10**17)
+    assert check_admissible(huge).admissible
+    for build in (construct_distances, construct_perfect_coloring):
+        with pytest.raises(InputTooLarge):
+            build(huge)
+        with pytest.raises(InputTooLarge):
+            build(ParamTriple(1, 1, MAX_DISTANCES + 1))
 
 
 def test_theorem_bound_equivalence_small():

@@ -212,6 +212,48 @@ def test_cyclotomic(capsys):
     assert json.loads(out) == {"n": 12, "coeffs": [1, 0, -1, 0, 1]}
 
 
+def test_cyclotomic_degree_cap(capsys):
+    # phi(9699690) = 1658880 and phi(2^40) = 2^39: refused before any coefficient exists
+    for n in ("9699690", "1099511627776"):
+        code, out, err = invoke(capsys, "cyclotomic", n)
+        assert code == 2 and out == ""
+        assert "above the cap of 131072" in err
+
+
+def test_cyclotomic_below_the_degree_cap(capsys):
+    # phi(510510) = 92160
+    code, out, _ = invoke(capsys, "cyclotomic", "510510")
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    assert len(coeffs) == 92161
+    assert coeffs[0] == coeffs[-1] == 1
+
+
+def test_params_check_with_a_large_prime_sum(capsys):
+    # b + c = 999999999999999989 is prime, so the one prime power of N is N itself
+    code, out, _ = invoke(
+        capsys, "params", "check", "--b", "1", "--c", "999999999999999988", "--k", "3")
+    assert code == 1
+    assert json.loads(out) == {
+        "admissible": False,
+        "violations": [{"q": 999999999999999989, "t": 1, "bound": 7}],
+    }
+
+
+def test_construct_with_a_large_prime_sum(capsys):
+    code, out, err = invoke(capsys, "construct", "--b", "1", "--c", "999999999999999988",
+                            "--k", "500000000000000000")
+    assert code == 2 and out == ""
+    assert "above the cap of 100000" in err
+
+
+def test_params_check_beyond_the_factorization_limit(capsys):
+    code, out, err = invoke(
+        capsys, "params", "check", "--b", "1", "--c", "3317044064679887385961980", "--k", "3")
+    assert code == 2 and out == ""
+    assert "cannot factorize" in err
+
+
 def test_spectrum_pass(capsys):
     code, out, _ = invoke(
         capsys, "spectrum", "--P", "4", "--distances", "1", "--b", "1", "--c", "1")
@@ -266,6 +308,14 @@ def test_table_csv_encodes_missing_as_empty(capsys):
     lines = out.strip().split("\n")
     admissible_rows = [ln for ln in lines[1:] if ln.split(",")[4] == "true"]
     assert all(ln.split(",")[5] == "" for ln in admissible_rows)
+
+
+def test_table_row_cap(capsys):
+    code, out, err = invoke(capsys, "table", "--k", "3", "--max-sum", "3000")
+    assert code == 2 and out == ""
+    assert "4498500 rows" in err
+    # 448 * 447 / 2 = 100128 rows is the first size over the cap of 100000
+    assert invoke(capsys, "table", "--k", "3", "--max-sum", "448")[0] == 2
 
 
 def test_usage_errors(capsys):
