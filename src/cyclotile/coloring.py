@@ -14,9 +14,11 @@ c-tiling for the structured tile built from the distances and (b, c).
 
 from __future__ import annotations
 
-from .errors import ModulusMismatch, NotZeroOne
+from .errors import InputTooLarge, ModulusMismatch, NotZeroOne
 from .polyring import convolve
 from .record import Record
+
+MAX_MODULUS = 2**20  # structured_tile refuses a larger group order before allocating a tile
 
 BLACK = "B"
 WHITE = "W"
@@ -91,11 +93,14 @@ def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
 
     Value b + c - 2k is added at M mod P and 1 at each (M + l) mod P and
     (M - l) mod P, accumulating collisions. The central value may be
-    negative when b + c < 2k; that is fine.
+    negative when b + c < 2k; that is fine. Raises InputTooLarge when P
+    exceeds MAX_MODULUS.
     """
     from .tiling import Tile  # on first use: verifying a colouring needs no tile algebra
 
     p = spec.modulus
+    if p > MAX_MODULUS:
+        raise InputTooLarge("group order %d is above the cap of %d" % (p, MAX_MODULUS))
     m = spec.max_distance
     values = [0] * p
     values[m % p] += b + c - 2 * spec.k
@@ -171,7 +176,8 @@ def parse_document(doc) -> tuple[CirculantSpec, int, int, str | None]:
     """Validate and unpack an interchange document. Raises ValueError when malformed."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    if doc.get("version") != 1:
+    version = doc.get("version")
+    if type(version) is not int or version != 1:  # true and 1.0 are not version 1
         raise ValueError("unsupported document version")
     for key in ("P", "distances", "b", "c"):
         if key not in doc:

@@ -10,14 +10,20 @@ radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only the coefficients
 of the squarefree case are spread out, and Phi_1 = x - 1. Everything
 stays in Z[x] with no floating point anywhere (Arnold and Monagan,
 Calculating cyclotomic polynomials, Math. Comp. 2011).
+
+The divisor spectrum needs none of these polynomials: whether Phi_n
+divides a mask is decided on the mask's fold modulo x^n - 1 by cyclic
+shifts and subtractions alone. cyclotomic_divides, by long division,
+stays as the direct test.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from operator import add, sub
 
-from .arith import divisors, factorize, is_prime_power, prime_power_base
+from .arith import divisors, factorize, prime_power_base
 from .errors import InputTooLarge, ZeroMask
 from .polyring import IntPolynomial, poly_divmod, reduce_mod_cyclic
 from .record import Record
@@ -101,21 +107,63 @@ class DivisorSpectrum(Record):
 def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:
     """Spectrum of f on the cyclic group of the given order.
 
-    f is reduced modulo x^P - 1 first, and modulo x^n - 1 before each test
-    of Phi_n, which cannot change any answer since Phi_n divides x^n - 1;
-    a fold that vanishes is divisible. A mask that reduces to zero modulo
-    x^P - 1 has every answer trivially yes and is rejected as ZeroMask.
+    f is reduced modulo x^P - 1 first; a mask that reduces to zero has
+    every answer trivially yes and is rejected as ZeroMask. No Phi_n is
+    built and nothing is divided. For each n | P the fold of f modulo
+    x^n - 1 (which Phi_n divides, so no answer changes) is tested by
+    _vanishes_at_primitive_roots, and the fold for n comes from the fold
+    for n * p by adding its p blocks of length n. Dividing the primes of
+    P out in ascending order reaches every divisor exactly once, so the
+    work is at most sigma(P) times one more than the number of primes of
+    P coefficient operations, and the folds kept at any time hold at
+    most about 2P coefficients.
     """
     reduced = reduce_mod_cyclic(f, modulus)
     if reduced.is_zero():
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
-    folds = ((n, reduce_mod_cyclic(reduced, n)) for n in divisors(modulus))
-    hits = frozenset(n for n, fold in folds if fold.is_zero() or cyclotomic_divides(n, fold))
+    primes = [p for p, _ in factorize(modulus)]
+    hits, prime_powers = [], []
+    top = list(reduced.coeffs) + [0] * (modulus - len(reduced.coeffs))
+    # (n, the fold that n's fold is added up from, index of the last prime divided out)
+    pending = [(modulus, top, 0)]
+    while pending:
+        n, outer, first = pending.pop()
+        fold = outer[:n]
+        for start in range(n, len(outer), n):
+            fold = list(map(add, fold, outer[start:start + n]))
+        own = [p for p in primes if n % p == 0]
+        if _vanishes_at_primitive_roots(fold, own):
+            hits.append(n)
+            if len(own) == 1:
+                prime_powers.append(n)
+        # divide out primes from the last one divided out onwards, never an earlier one
+        pending.extend((n // primes[i], fold, i)
+                       for i in range(first, len(primes)) if n % primes[i] == 0)
     return DivisorSpectrum(
         modulus=modulus,
-        divisors=hits,
-        prime_power_subset=frozenset(n for n in hits if is_prime_power(n)),
+        divisors=frozenset(hits),
+        prime_power_subset=frozenset(prime_powers),
     )
+
+
+def _vanishes_at_primitive_roots(fold: list[int], primes: list[int]) -> bool:
+    """Whether Phi_n divides the fold F of a mask modulo x^n - 1, n = len(F).
+
+    primes are the primes of n. F is multiplied modulo x^n - 1 by
+    x^(n/p) - 1 for each of them, one cyclic shift-and-subtract pass
+    a[i] <- a[i - n/p] - a[i] each; that product vanishes at every
+    n-th root of unity that is not primitive and at none that is. Since
+    x^n - 1 is squarefree, the result is zero exactly when F vanishes at
+    every primitive n-th root, that is when Phi_n divides F (Lam and
+    Leung, On vanishing sums of roots of unity, J. Algebra 2000).
+    """
+    if not any(fold):
+        return True
+    n = len(fold)
+    for p in primes:
+        shift = n // p
+        fold = list(map(sub, fold[-shift:] + fold[:-shift], fold))
+    return not any(fold)
 
 
 def prime_power_product_at_one(spectrum: DivisorSpectrum) -> int:

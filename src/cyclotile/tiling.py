@@ -11,7 +11,7 @@ prime-power witness are built from that same spectrum.
 
 from __future__ import annotations
 
-from .arith import is_prime_power
+from .arith import factorize
 from .cyclotomic import (
     DivisorSpectrum,
     divisor_spectrum,
@@ -157,12 +157,18 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
 def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     """Build a 0/1 m-tiling on a prime-power group.
 
-    Requires 0 < m <= mask sum and a passing existence test. On a prime
-    power, the product of the cyclotomic divisors has 0/1 coefficients;
-    the multiplier is the sum of the lowest-degree m * d(1) / masksum
-    monomials with coefficient 1, and the resulting tile is 0/1 again.
+    Requires 0 < m <= mask sum and a passing existence test. On P = p^a
+    the product of the cyclotomic divisors Phi_{p^j}, j in S, is the
+    indicator of the digit set D_S = {sum over j in S of e_j p^(j-1) :
+    0 <= e_j < p}, and (x^P - 1) / ((x - 1) times that product) is the
+    indicator of D_T for the other exponents T. The witness takes the
+    lowest m * p^|S| / masksum elements s of D_S and puts a 1 at every
+    s + t with t in D_T; base-p digits at distinct places never carry,
+    so it is 0/1 with no product and no division (Coven and Meyerowitz,
+    Tiling the integers with translates of one finite set, J. Algebra 1999).
     """
-    if not is_prime_power(u.modulus):
+    factors = factorize(u.modulus)
+    if len(factors) != 1:
         raise NotPrimePower("group order %d is not a prime power" % u.modulus)
     mask_sum = eval_at(mask_polynomial(u), 1)
     if multiplicity <= 0 or multiplicity > mask_sum:
@@ -173,18 +179,36 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
     spectrum = verdict.spectrum
-    product = spectrum.divisor_product()
+    base = factors[0][0]
+    chosen_places, other_places = [], []  # p^(j-1) for each j, split by Phi_{p^j} dividing
+    place = 1
+    while place < u.modulus:
+        divides = place * base in spectrum.divisors
+        (chosen_places if divides else other_places).append(place)
+        place *= base
+    chosen = _digit_set(base, chosen_places)
     count = multiplicity * spectrum.divisor_product_at_one() // mask_sum
-    ones = [e for e, cf in enumerate(product.coeffs) if cf == 1]
-    if any(cf not in (0, 1) for cf in product.coeffs) or count > len(ones):
-        raise AssertionError("divisor product is not 0/1 on a prime power")
-    selected = ones[:count]
-    coeffs = [0] * (selected[-1] + 1)
-    for e in selected:
-        coeffs[e] = 1
-    multiplier = IntPolynomial(coeffs)
-    witness_poly = multiplier * _witness_base(u.modulus, product)
-    tile = tile_from_polynomial(witness_poly, u.modulus)
+    if count > len(chosen):
+        raise AssertionError("the multiplier needs %d of the %d elements of the digit set"
+                             % (count, len(chosen)))
+    selected = chosen[:count]
+    values = [0] * u.modulus
+    for t in _digit_set(base, other_places):
+        for s in selected:
+            values[s + t] += 1
+    tile = Tile(tuple(values))
     if any(value not in (0, 1) for value in tile.values):
         raise AssertionError("constructed witness is not a 0/1 tile")
     return tile
+
+
+def _digit_set(base: int, places: list[int]) -> list[int]:
+    """Every sum of e * place, 0 <= e < base, over the ascending places, ascending.
+
+    Each place exceeds the largest sum of the places before it, so the
+    list comes out sorted and has no repeats.
+    """
+    digits = [0]
+    for place in places:
+        digits = [d + e * place for e in range(base) for d in digits]
+    return digits

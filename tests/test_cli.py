@@ -146,6 +146,44 @@ def test_verify_rejects_json_booleans(tmp_path, capsys):
         assert err
 
 
+def test_verify_rejects_a_version_that_is_not_the_integer_one(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")
+    assert code == 0
+    for name, version in (("true", True), ("float", 1.0)):
+        doc = json.loads(out)
+        doc["version"] = version
+        path = tmp_path / ("version_%s.json" % name)
+        path.write_text(json.dumps(doc))
+        code, verify_out, err = invoke(capsys, "verify", str(path))
+        assert code == 2, name
+        assert verify_out == ""
+        assert "version" in err
+
+
+def test_group_order_cap(tmp_path, capsys):
+    # one P above the cap through spectrum and through a parameters document
+    code, out, err = invoke(
+        capsys, "spectrum", "--P", "1000000000", "--distances", "1", "--b", "1", "--c", "1")
+    assert code == 2 and out == ""
+    assert "cap" in err
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": 1, "P": 10**9, "distances": [1], "b": 1, "c": 1}))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "cap" in err
+
+
+def test_spectrum_at_a_large_power_of_two(capsys):
+    # no Phi_n is built, so the degree cap on cyclotomic polynomials does not reach
+    # spectrum; the structured tile is 1 + x^2 = Phi_4
+    code, out, _ = invoke(
+        capsys, "spectrum", "--P", "524288", "--distances", "1", "--b", "1", "--c", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["divisors"] == [4]
+    assert doc["passes"] is True
+
+
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     # a constructed colouring that fails its own graph-side check is a bug,
     # which must not be reported as the negative verdict of exit 1

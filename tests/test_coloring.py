@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from cyclotile.coloring import (
     BLACK,
+    MAX_MODULUS,
     WHITE,
     CirculantSpec,
     Coloring,
@@ -18,7 +20,7 @@ from cyclotile.coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from cyclotile.errors import ModulusMismatch, NotZeroOne
+from cyclotile.errors import InputTooLarge, ModulusMismatch, NotZeroOne
 from cyclotile.tiling import Tile, verify_multitiling
 
 
@@ -74,6 +76,20 @@ def test_structured_tile_negative_center():
     u = structured_tile(CirculantSpec(7, (1, 2)), 1, 1)
     assert u.values[2] == 1 + 1 - 4
     assert sum(u.values) == 2
+
+
+def test_structured_tile_modulus_cap():
+    # refused before the tile is allocated: a list of 2^20 + 1 entries alone takes 8 MB
+    spec = CirculantSpec(MAX_MODULUS + 1, (1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputTooLarge):
+            structured_tile(spec, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert structured_tile(CirculantSpec(MAX_MODULUS, (1,)), 1, 1).modulus == MAX_MODULUS
 
 
 def test_is_perfect_examples():

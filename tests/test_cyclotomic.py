@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cyclotile.arith import is_prime_power
 from cyclotile.cyclotomic import (
     cyclotomic,
     cyclotomic_divides,
@@ -14,6 +17,7 @@ from cyclotile.errors import ZeroMask
 from cyclotile.polyring import (
     IntPolynomial,
     eval_at,
+    poly_divmod,
     poly_exact_div,
     power_minus_one,
     reduce_mod_cyclic,
@@ -204,3 +208,42 @@ def test_spectrum_membership_matches_division():
                 assert (n in spec.divisors) == cyclotomic_divides(n, reduced), (f, p, n)
                 folds_to_zero += reduce_mod_cyclic(reduced, n).is_zero()
     assert folds_to_zero > 0
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def masks_with_cyclotomic_factors(draw):
+    """A modulus P and a nonzero mask on it: small random integers times a few
+    factors x^s - 1 or 1 + x^s + ... + x^((r - 1)s) with rs | P, which carry
+    cyclotomic factors Phi_n with n | P."""
+    p = draw(st.integers(1, 64) | st.sampled_from([128, 243, 2310]))
+    mask = IntPolynomial(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8)))
+    for _ in range(draw(st.integers(0, 2))):
+        block = draw(st.sampled_from(_divisors(p)))
+        s = draw(st.sampled_from(_divisors(block)))
+        if draw(st.booleans()):
+            mask = mask * IntPolynomial([-1] + [0] * (s - 1) + [1])
+        else:
+            mask = mask * IntPolynomial(([1] + [0] * (s - 1)) * (block // s))
+    return p, mask
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(masks_with_cyclotomic_factors())
+def test_spectrum_matches_division_on_random_masks(case):
+    # the reference: Phi_n divides the fold modulo x^n - 1 when the remainder of dividing it is zero
+    p, mask = case
+    reduced = reduce_mod_cyclic(mask, p)
+    if reduced.is_zero():
+        with pytest.raises(ZeroMask):
+            divisor_spectrum(mask, p)
+        return
+    spec = divisor_spectrum(mask, p)
+    for n in _divisors(p):
+        _, rem = poly_divmod(reduce_mod_cyclic(reduced, n), cyclotomic(n))
+        assert (n in spec.divisors) == rem.is_zero(), (p, mask, n)
+        assert (n in spec.prime_power_subset) == (rem.is_zero() and is_prime_power(n)), (p, n)

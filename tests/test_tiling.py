@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cyclotile.coloring import CirculantSpec, structured_tile
 from cyclotile.cyclotomic import divisor_spectrum
 from cyclotile.errors import (
     ModulusMismatch,
@@ -13,7 +14,13 @@ from cyclotile.errors import (
     NotPrimePower,
 )
 from cyclotile.oracle import search_tilings
-from cyclotile.polyring import IntPolynomial, eval_at, reduce_mod_cyclic
+from cyclotile.polyring import (
+    IntPolynomial,
+    eval_at,
+    poly_exact_div,
+    power_minus_one,
+    reduce_mod_cyclic,
+)
 from cyclotile.tiling import (
     MultitilingWitness,
     Tile,
@@ -226,3 +233,41 @@ def test_equation_equivalence_random():
         product = mask_polynomial(u) * mask_polynomial(v)
         residue = reduce_mod_cyclic(product - m * IntPolynomial([1] * p), p)
         assert direct == residue.is_zero()
+
+
+def _tiling_by_division(u, m):
+    """The 0/1 m-tiling as built by polynomial arithmetic: the lowest
+    m * d(1) / masksum monomials of the divisor product d, times
+    (x^P - 1) / ((x - 1) * d)."""
+    p = u.modulus
+    product = multitiling_exists(u, m).spectrum.divisor_product()
+    count = m * eval_at(product, 1) // sum(u.values)
+    assert set(product.coeffs) <= {0, 1}
+    chosen = [e for e, cf in enumerate(product.coeffs) if cf][:count]
+    multiplier = IntPolynomial([1 if e in chosen else 0 for e in range(chosen[-1] + 1)])
+    base = poly_exact_div(power_minus_one(p), IntPolynomial([-1, 1]) * product)
+    return tile_from_polynomial(multiplier * base, p)
+
+
+def test_prime_power_tiling_matches_division():
+    rng = random.Random(16)
+    built = 0
+    for i in range(2400):
+        p = rng.choice((2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256))
+        if i % 2:  # a graph's structured tile
+            distances = tuple(rng.randrange(0, 3 * p) for _ in range(rng.randrange(1, 6)))
+            u = structured_tile(CirculantSpec(p, distances), rng.randrange(1, 12),
+                                rng.randrange(1, 12))
+        else:  # small random values times a block 1 + x^s + ... with a cyclotomic factor
+            block = rng.choice([d for d in range(1, p + 1) if p % d == 0])
+            mask = IntPolynomial([rng.randrange(0, 3) for _ in range(3)]) * IntPolynomial([1] * block)
+            u = tile_from_polynomial(mask, p)
+        mask_sum = sum(u.values)
+        if mask_sum <= 0:
+            continue
+        m = rng.randrange(1, mask_sum + 1)
+        if not multitiling_exists(u, m).passed:
+            continue
+        assert construct_tiling_prime_power(u, m) == _tiling_by_division(u, m), (u, m)
+        built += 1
+    assert built > 500
