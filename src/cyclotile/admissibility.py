@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import crt, factorize, is_prime_power
+from .arith import crt_basis, factorize, is_prime_power
 from .coloring import (
     CirculantSpec,
     Coloring,
@@ -243,11 +243,9 @@ def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
     reduced = params.reduced_sum
     per_prime = _per_prime_residues(params)
     period = reduced if reduced % 2 else 2 * reduced
-    distances = []
-    for j in range(params.k):
-        distances.append(
-            crt([pp.residues[j] for pp in per_prime], [pp.modulus for pp in per_prime])
-        )
+    basis, modulus = crt_basis([pp.modulus for pp in per_prime])  # modulus == period
+    distances = [sum(r * e for r, e in zip(residues, basis)) % modulus
+                 for residues in zip(*[pp.residues for pp in per_prime])]
     lift_past = max(pp.q ** (pp.t + 1) for pp in per_prime)
     idx = distances.index(max(distances))
     while distances[idx] <= lift_past:

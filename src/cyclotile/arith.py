@@ -168,9 +168,22 @@ def prime_power_base(n: int) -> int:
 
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Minimal nonnegative solution of x = r_i (mod m_i) for pairwise coprime m_i."""
-    x, modulus = 0, 1
-    for r, m in zip(residues, moduli):
-        t = ((r - x) * pow(modulus, -1, m)) % m
-        x += modulus * t
-        modulus *= m
-    return x % modulus
+    basis, modulus = crt_basis(moduli)
+    return sum(r * e for r, e in zip(residues, basis)) % modulus
+
+
+def crt_basis(moduli: list[int]) -> tuple[list[int], int]:
+    """The CRT basis e_i of pairwise coprime m_i, and their product M.
+
+    e_i is 1 mod m_i and 0 mod every other m_j, so for any residues the
+    solution of x = r_i (mod m_i) is sum r_i * e_i mod M. Computing the
+    basis once serves every residue vector over the same moduli.
+    """
+    total = 1
+    for m in moduli:
+        total *= m
+    basis = []
+    for m in moduli:
+        rest = total // m
+        basis.append(rest * pow(rest, -1, m))
+    return basis, total

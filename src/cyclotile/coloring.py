@@ -15,14 +15,14 @@ c-tiling for the structured tile built from the distances and (b, c).
 from __future__ import annotations
 
 from .errors import InputTooLarge, ModulusMismatch, NotZeroOne
-from .polyring import convolve
 from .record import Record
 
 MAX_MODULUS = 2**20  # structured_tile refuses a larger group order before allocating a tile
 
 BLACK = "B"
 WHITE = "W"
-_INDICATOR = bytes.maketrans(b"BW", b"\x01\x00")  # colour letters to the black indicator
+# colour bytes to the black indicator; any other byte, such as one of a non-ASCII letter, to 2
+_INDICATOR = bytes(1 if byte == ord(BLACK) else 0 if byte == ord(WHITE) else 2 for byte in range(256))
 
 
 class CirculantSpec(Record):
@@ -75,7 +75,7 @@ class Coloring(Record):
     def __init__(self, colors: str, b: int, c: int):
         if not colors:
             raise ValueError("empty colouring")
-        if set(colors) - {BLACK, WHITE}:
+        if colors.count(BLACK) + colors.count(WHITE) != len(colors):
             raise ValueError("colors must be a string over B and W")
         if b < 1 or c < 1:
             raise ValueError("parameters b and c must be positive")
@@ -128,19 +128,33 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
     p = spec.modulus
     if len(colors) != p:
         raise ModulusMismatch("graph on %d vertices, colouring on %d" % (p, len(colors)))
-    jumps = [0] * p
-    for l in spec.distances:
-        jumps[l % p] += 1
-        jumps[-l % p] += 1
-    # against the jumps repeated twice, entry g + P of the linear convolution is cyclic
-    blacks = convolve(colors.encode().translate(_INDICATOR), jumps + jumps)[p:2 * p]
-    pairs = set(zip(colors, blacks))  # (colour, black-neighbour count) of each vertex
-    counts = dict(pairs)  # keyed by every letter the string uses
-    if counts.keys() - {BLACK, WHITE}:
+    indicator = colors.encode().translate(_INDICATOR)
+    if 2 in indicator:
         raise ValueError("colors must be a string over B and W")
-    if len(pairs) != 2 or len(counts) != 2:
-        return None  # monochromatic, or one colour class with two counts
-    b, c = 2 * spec.k - counts[BLACK], counts[WHITE]
+    first_black, first_white = indicator.find(1), indicator.find(0)
+    if first_black < 0 or first_white < 0:
+        return None  # monochromatic
+    # Kronecker substitution: the indicator and the jump counts as integers with one digit per
+    # vertex. Digits g and g + P of their product add up to the cyclic count of vertex g, at
+    # most 2k, so with digits wide enough for 2k nothing carries and one fold gives the counts
+    degree = 2 * spec.k
+    width = (degree.bit_length() + 7) // 8  # bytes per digit
+    digits = bytearray(width * p)
+    digits[::width] = indicator
+    blacks = int.from_bytes(digits, "little")
+    shift, row = 8 * width, 8 * width * p
+    jumps = 0
+    for l in spec.distances:
+        jumps += (1 << shift * (l % p)) + (1 << shift * (-l % p))
+    product = blacks * jumps
+    counts = (product & ((1 << row) - 1)) + (product >> row)
+    digit = (1 << shift) - 1
+    beta, gamma = counts >> shift * first_black & digit, counts >> shift * first_white & digit
+    # perfect only if every vertex has the count of the first vertex of its colour
+    ones = ((1 << row) - 1) // digit  # a 1 in every digit
+    if counts != gamma * ones + (beta - gamma) * blacks:
+        return None
+    b, c = degree - beta, gamma
     return (b, c) if b >= 1 and c >= 1 else None
 
 

@@ -1,9 +1,11 @@
 """Exhaustive search over colourings and 0/1 tilings at small group orders.
 
 This is the ground truth the algebraic machinery is tested against: no
-cleverness, just enumeration of all 2^P states in a fixed order. A state
+cleverness, just enumeration of the 2^P states in a fixed order. A state
 is the integer whose bit g gives the colour (or tile value) at vertex g,
-vertex 0 in the least significant bit, Black encoded as 1.
+vertex 0 in the least significant bit, Black encoded as 1. The census
+visits every state; a search visits only the states with the one number
+of ones that a counting argument leaves possible, in the same order.
 """
 
 from __future__ import annotations
@@ -19,6 +21,14 @@ MAX_EXHAUSTIVE_ORDER = 24
 
 
 class SearchReport(Record):
+    """The hits of search_colorings, in counter order, and how far the counter got.
+
+    states_examined is the counter position reached: the hit mask + 1
+    when the limit stopped the search, 2^P when it ran to the end
+    (exhausted). It is not the number of states classified, since only
+    the states of the possible weight class are.
+    """
+
     __slots__ = ("spec", "b", "c", "found", "exhausted", "states_examined")
 
     def __init__(self, spec: CirculantSpec, b: int, c: int, found: tuple[Coloring, ...],
@@ -38,13 +48,16 @@ def _colors_of(mask: int, modulus: int) -> str:
 def search_colorings(
     spec: CirculantSpec, b: int, c: int, limit: int | None = None
 ) -> SearchReport:
-    """Every (b, c)-perfect colouring of the graph, by filtering all 2^P states.
+    """Every (b, c)-perfect colouring of the graph, in counter order.
 
-    The census's classifier labels the states; only its (b, c) hits become
-    colourings. With a limit the search stops after that many hits and
-    the report says whether the enumeration ran to the end anyway. No
-    vertex has more than 2k neighbours, so when b or c exceeds 2k no state
-    can match and the report of the full sweep is returned without one.
+    Counting the black-white edges from both ends gives |B| * b = |W| * c,
+    so every hit has exactly w = P * c / (b + c) black vertices. Only the
+    C(P, w) states of that weight are classified, by the census's
+    classifier, in ascending order; when w is not an integer, or b or c
+    exceeds the 2k neighbours a vertex has, no state can match and the
+    report of the full sweep is returned without classifying one. With a
+    limit the search stops after that many hits and the report says
+    whether the enumeration ran to the end anyway.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
@@ -54,11 +67,11 @@ def search_colorings(
         raise ValueError("b and c must be positive")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    if max(b, c) > 2 * spec.k:
+    if max(b, c) > 2 * spec.k or p * c % (b + c):
         return SearchReport(spec, b, c, (), True, 1 << p)
     found = []
     examined = 1 << p
-    for mask, params in _classified(spec):
+    for mask, params in _classified(spec, _masks_of_weight(p, p * c // (b + c))):
         if params == (b, c):
             found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
             if limit is not None and len(found) >= limit:
@@ -70,22 +83,47 @@ def search_colorings(
 def search_tilings(u: Tile, m: int) -> list[Tile]:
     """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
 
-    Summing the cover over the group gives sum(u) * sum(v) = P * m, so a
-    mask with any other number of ones is skipped before its Tile is
-    built; verify_multitiling still decides every remaining mask.
+    Summing the cover over the group gives sum(u) * sum(v) = P * m, so
+    only the masks with w = P * m / sum(u) ones are built as tiles, and
+    verify_multitiling decides each of them. When sum(u) = 0 and m = 0
+    every weight qualifies; otherwise a w that is not an integer in
+    [0, P] leaves nothing to try.
     """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
     u_sum = sum(u.values)
+    if u_sum == 0:
+        masks = range(1 << p) if m == 0 else ()
+    elif p * m % u_sum or not 0 <= p * m // u_sum <= p:
+        masks = ()
+    else:
+        masks = _masks_of_weight(p, p * m // u_sum)
     out = []
-    for mask in range(1 << p):
-        if u_sum * mask.bit_count() != p * m:
-            continue
+    for mask in masks:
         v = Tile(tuple((mask >> g) & 1 for g in range(p)))
         if verify_multitiling(u, v, m):
             out.append(v)
     return out
+
+
+def _masks_of_weight(p: int, w: int):
+    """The P-bit masks with exactly w ones, in ascending order, for 0 <= w <= P.
+
+    Gosper's step goes from one mask to the next larger of the same
+    weight: the lowest block of ones moves its top bit one place up and
+    the rest of the block back down to bit 0.
+    """
+    if w == 0:
+        yield 0
+        return
+    mask = (1 << w) - 1
+    end = 1 << p
+    while mask < end:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((ripple ^ mask) >> (low.bit_length() + 1))
 
 
 def _confirmed(spec: CirculantSpec, col: Coloring) -> Coloring:
@@ -94,8 +132,8 @@ def _confirmed(spec: CirculantSpec, col: Coloring) -> Coloring:
     return col
 
 
-def _classified(spec: CirculantSpec):
-    """(mask, (b, c)) for every state perfect for some positive (b, c), in counter order.
+def _classified(spec: CirculantSpec, masks):
+    """(mask, (b, c)) for every state among masks perfect for some positive (b, c), in order.
 
     A colour vector determines the only (b, c) it could be perfect for
     (the common white-neighbour count of its black vertices and the
@@ -109,7 +147,7 @@ def _classified(spec: CirculantSpec):
     layers = [[sum(1 << h for h, m in c.items() if m > j) for j in range(max(c.values()))]
               for c in counts]
     degree = 2 * spec.k
-    for mask in range(1 << p):
+    for mask in masks:
         seen = {}  # colour bit -> the white-neighbour count every vertex of that colour shares
         for g in range(p):
             whites = degree
@@ -133,6 +171,6 @@ def census_colorings(spec: CirculantSpec) -> dict[tuple[int, int], list[Coloring
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
     census: dict[tuple[int, int], list[Coloring]] = {}
-    for mask, (b, c) in _classified(spec):
+    for mask, (b, c) in _classified(spec, range(1 << p)):
         census.setdefault((b, c), []).append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
     return dict(sorted(census.items()))

@@ -172,6 +172,26 @@ def test_construct_distances_lift_condition():
         assert w.spec.max_distance > threshold
 
 
+def test_construct_distances_are_least_solutions_but_the_lifted_one():
+    # each distance is the least nonnegative solution of its congruences, found here by
+    # scanning one period; only the largest is then lifted by whole periods
+    multi_prime = 0
+    for b, c in [(5, 7), (1, 14), (2, 13), (7, 23), (11, 19), (1, 5), (3, 7)]:
+        k = next(k for k in range(1, 60) if check_admissible(ParamTriple(b, c, k)).admissible)
+        w = construct_distances(ParamTriple(b, c, k + 2))
+        period, per_prime = w.spec.modulus, w.per_prime_residues
+        least = [next(x for x in range(period)
+                      if all(x % pp.modulus == pp.residues[j] % pp.modulus for pp in per_prime))
+                 for j in range(k + 2)]
+        lifted = least.index(max(least))
+        for j, distance in enumerate(w.spec.distances):
+            assert distance % period == least[j], (b, c, j)
+            if j != lifted:
+                assert distance == least[j], (b, c, j)
+        multi_prime += len(per_prime) > 1
+    assert multi_prime >= 5
+
+
 def test_period_and_condition_sweep():
     # P is the reduced sum, doubled when even, and the divisibility
     # condition holds for the constructed graph

@@ -244,6 +244,15 @@ def test_search_too_large_is_usage_error(capsys):
     assert err
 
 
+def test_search_impossible_weight_answers_at_once(capsys):
+    # 30 * 3 black vertices over b + c = 4 is not whole: no state is classified
+    code, out, _ = invoke(
+        capsys, "search", "--P", "30", "--distances", "1,2", "--b", "1", "--c", "3", "--limit", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["count"], doc["exhausted"], doc["states_examined"]) == (0, True, 2**30)
+
+
 def test_cyclotomic(capsys):
     code, out, _ = invoke(capsys, "cyclotomic", "12")
     assert code == 0

@@ -227,6 +227,46 @@ def test_perfect_parameters_rejects_bad_colors():
             perfect_parameters(spec, colors)
 
 
+def test_perfect_parameters_either_side_of_byte_digits():
+    # counts of at most 2k = 254 are the product's bytes; 2k = 256 takes the wide digits.
+    # Distances beyond P and repeated ones, up to all 2k jumps landing on one vertex
+    rng = random.Random(26)
+    checked = 0
+    for k in (127, 128):
+        for p in (1, 2, 6, 7, 10, 16):
+            graphs = [tuple(rng.randrange(3 * p + 1) for _ in range(k)),
+                      (p // 2,) * k,
+                      (p,) * (k - 1) + (rng.randrange(5 * p),),
+                      tuple(rng.randrange(1, 4 * p, 2) for _ in range(k))]
+            for distances in graphs:
+                spec = CirculantSpec(p, distances)
+                vectors = ["".join(rng.choice("BW") for _ in range(p)) for _ in range(6)]
+                vectors += ["B" * p, "W" * p, "B" + "W" * (p - 1), "BW" * (p // 2) + "B" * (p % 2)]
+                for colors in vectors:
+                    assert perfect_parameters(spec, colors) == _naive_parameters(spec, colors), \
+                        (p, distances, colors)
+                    checked += 1
+    assert checked > 400
+    # odd jumps make alternation perfect with the largest counts, b = c = 2k
+    assert perfect_parameters(CirculantSpec(10, (1, 3) * 63 + (5,)), "BW" * 5) == (254, 254)
+    assert perfect_parameters(CirculantSpec(10, (1, 3) * 64), "BW" * 5) == (256, 256)
+    # all 254 jumps of a vertex land on the opposite one
+    assert perfect_parameters(CirculantSpec(6, (3,) * 127), "BBBWWW") == (254, 254)
+    assert perfect_parameters(CirculantSpec(6, (3,) * 127), "BWBBWW") is None
+
+
+def test_perfect_parameters_rejects_bad_colors_either_side_of_byte_digits():
+    for k in (127, 128):
+        spec = CirculantSpec(4, (1,) * k)
+        for colors in ("BBWWB", "BW", "", "BBWWBBWW"):
+            with pytest.raises(ModulusMismatch):
+                perfect_parameters(spec, colors)
+        for colors in ("BBWX", "bbww", "BBW\u00e9", "WWWX", "XXXX", "BB\x01W", "B\x00WW",
+                       "\u00e9\u00e9\u00e9\u00e9"):
+            with pytest.raises(ValueError):
+                perfect_parameters(spec, colors)
+
+
 def test_document_roundtrip():
     spec = CirculantSpec(8, (1, 11))
     doc = build_document(spec, 3, 1, "BBWWWWWW")

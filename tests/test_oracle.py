@@ -234,3 +234,67 @@ def test_census_buckets_are_perfect():
 def test_census_too_large():
     with pytest.raises(SearchSpaceTooLarge):
         census_colorings(CirculantSpec(25, (1,)))
+
+
+def test_masks_of_weight_is_the_popcount_class():
+    for p in range(13):
+        for w in range(p + 1):
+            expected = [mask for mask in range(1 << p) if mask.bit_count() == w]
+            assert list(oracle._masks_of_weight(p, w)) == expected, (p, w)
+
+
+def _swept(spec, b, c, limit, classified):
+    # what a search over every state reports: hits in counter order, the counter position
+    found, examined = [], 2**spec.modulus
+    for mask, params in classified:
+        if params == (b, c):
+            found.append("".join("B" if (mask >> g) & 1 else "W" for g in range(spec.modulus)))
+            if limit is not None and len(found) >= limit:
+                examined = mask + 1
+                break
+    return found, examined == 2**spec.modulus, examined
+
+
+def test_search_colorings_matches_full_sweep():
+    # a search classifies only the weight class P * c / (b + c); its hits, exhausted
+    # flag and counter position must equal those of the unfiltered classifier
+    rng = random.Random(43)
+    specs = [CirculantSpec(8, (1, 2)), CirculantSpec(10, (1, 3)), CirculantSpec(9, (1, 3)),
+             CirculantSpec(6, (1, 2, 3))]
+    for _ in range(24):
+        p = rng.randrange(1, 11)
+        specs.append(CirculantSpec(p, tuple(rng.randrange(2 * p) for _ in range(rng.randrange(1, 4)))))
+    hits = stopped = 0
+    for spec in specs:
+        classified = list(oracle._classified(spec, range(2**spec.modulus)))
+        for b in range(1, 2 * spec.k + 1):
+            for c in range(1, 2 * spec.k + 1):
+                for limit in (None, 1, 2, 3):
+                    found, exhausted, examined = _swept(spec, b, c, limit, classified)
+                    report = search_colorings(spec, b, c, limit)
+                    assert [col.colors for col in report.found] == found, (spec, b, c, limit)
+                    assert report.exhausted == exhausted, (spec, b, c, limit)
+                    assert report.states_examined == examined, (spec, b, c, limit)
+                    hits += len(found)
+                    stopped += not exhausted
+    assert hits > 200 and stopped > 20
+
+
+def test_search_colorings_indivisible_weight_classifies_nothing(monkeypatch):
+    # when P * c is not a multiple of b + c no colouring has a whole number of
+    # black vertices, and the full-sweep report comes back without a classified state
+    calls = []
+    classify = oracle._classified
+
+    def counting(spec, masks):
+        calls.append(spec)
+        return classify(spec, masks)
+
+    monkeypatch.setattr(oracle, "_classified", counting)
+    for spec, b, c, limit in [(CirculantSpec(30, (1, 2)), 1, 3, 1), (CirculantSpec(10, (1, 2)), 1, 2, None),
+                              (CirculantSpec(9, (1,)), 1, 1, None), (CirculantSpec(40, (1, 2)), 1, 2, 1)]:
+        report = search_colorings(spec, b, c, limit)
+        assert report == oracle.SearchReport(spec, b, c, (), True, 2**spec.modulus)
+    assert calls == []
+    report = search_colorings(CirculantSpec(10, (1, 2)), 1, 4)  # w = 8
+    assert len(calls) == 1 and report.exhausted and report.states_examined == 2**10
