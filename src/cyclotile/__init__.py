@@ -68,8 +68,6 @@ _HOME = {
     "IntPolynomial": "polyring",
     "eval_at": "polyring",
     "poly_divmod": "polyring",
-    "poly_exact_div": "polyring",
-    "power_minus_one": "polyring",
     "reduce_mod_cyclic": "polyring",
     "ExistenceVerdict": "tiling",
     "MultitilingWitness": "tiling",
@@ -135,8 +133,6 @@ __all__ = [
     "parse_document",
     "perfect_parameters",
     "poly_divmod",
-    "poly_exact_div",
-    "power_minus_one",
     "prime_power_base",
     "prime_power_product_at_one",
     "reduce_mod_cyclic",

@@ -142,10 +142,15 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
     digits = bytearray(width * p)
     digits[::width] = indicator
     blacks = int.from_bytes(digits, "little")
-    shift, row = 8 * width, 8 * width * p
-    jumps = 0
+    landings = bytearray(width * p)  # digit g: how many of the 2k jumps from vertex 0 land on g
     for l in spec.distances:
-        jumps += (1 << shift * (l % p)) + (1 << shift * (-l % p))
+        for i in (width * (l % p), width * (-l % p)):
+            while landings[i] == 255:  # carry into the digit's next byte
+                landings[i] = 0
+                i += 1
+            landings[i] += 1
+    jumps = int.from_bytes(landings, "little")
+    shift, row = 8 * width, 8 * width * p
     product = blacks * jumps
     counts = (product & ((1 << row) - 1)) + (product >> row)
     digit = (1 << shift) - 1

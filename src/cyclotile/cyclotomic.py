@@ -1,15 +1,23 @@
 """Cyclotomic polynomials and the cyclotomic divisor spectrum of a mask.
 
-For squarefree n > 1 the n-th cyclotomic polynomial is the Moebius
-product Phi_n = prod over d | n of (1 - x^d)^mu(n/d), read as a power
-series truncated at degree phi(n), the degree of Phi_n. Multiplying by
-1 - x^d is a descending pass a[i] -= a[i - d], and dividing by it, that
-is multiplying by 1 + x^d + x^2d + ..., an ascending pass a[i] += a[i - d];
-no intermediate is longer than the result. Any other n reduces to its
-radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only the coefficients
-of the squarefree case are spread out, and Phi_1 = x - 1. Everything
-stays in Z[x] with no floating point anywhere (Arnold and Monagan,
-Calculating cyclotomic polynomials, Math. Comp. 2011).
+For n > 1 the n-th cyclotomic polynomial is the Moebius product
+Phi_n = prod over e | n of (1 - x^e)^mu(n/e). Read as a power series
+truncated at some length, such a product is built by _mobius_series:
+multiplying by 1 - x^e is a descending pass a[i] -= a[i - e], and
+dividing by it, that is multiplying by 1 + x^e + x^2e + ..., a running
+sum along each residue class mod e. For squarefree n the length is
+phi(n) + 1, so no intermediate is longer than the result. Any other n
+reduces to its radical, Phi_n(x) = Phi_rad(n)(x^(n / rad(n))), so only
+the coefficients of the squarefree case are spread out, and
+Phi_1 = x - 1. Everything stays in Z[x] with no floating point anywhere
+(Arnold and Monagan, Calculating cyclotomic polynomials, Math. Comp.
+2011).
+
+The same series gives the multitiling witness. With d the product of
+the cyclotomic divisors Phi_n of a mask, (x^P - 1) / ((x - 1) d) has
+degree below P, so it is the power series of (1 - x)^-1 times each
+Phi_n^-1, truncated at length P (DivisorSpectrum.cofactor). No
+polynomial is multiplied or divided.
 
 The divisor spectrum needs none of these polynomials: whether Phi_n
 divides a mask is decided on the mask's fold modulo x^n - 1 by cyclic
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
 from operator import add, sub
 
-from .arith import divisors, factorize, prime_power_base
+from .arith import factorize, prime_power_base
 from .errors import InputTooLarge, ZeroMask
 from .polyring import IntPolynomial, poly_divmod, reduce_mod_cyclic
 from .record import Record
@@ -54,19 +63,38 @@ def cyclotomic(n: int) -> IntPolynomial:
         spread = [0] * (top + 1)
         spread[::n // radical] = base
         return IntPolynomial(spread)
-    divs = [d for d in divisors(n) if d <= top]  # factors with d > phi(n) act beyond it
-    # mu(n/d) = -1 exactly when n/d has an odd number of prime factors
-    negative = {d for d in divs if len(factorize(n // d)) % 2}
-    coeffs = [1] + [0] * top
-    for d in divs:
-        if d not in negative:
-            for i in range(top, d - 1, -1):
-                coeffs[i] -= coeffs[i - d]
-    for d in divs:
-        if d in negative:
-            for i in range(d, top + 1):
-                coeffs[i] += coeffs[i - d]
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_mobius_series(dict(_mobius_exponents(n, primes)), top + 1))
+
+
+def _mobius_exponents(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    """The pairs (n / s, mu(s)) over the squarefree divisors s of n, whose primes are given.
+
+    Phi_n is the product of (1 - x^e)^a over these pairs (e, a) for n > 1.
+    """
+    terms = [(n, 1)]
+    for p in primes:
+        terms += [(e // p, -a) for e, a in terms]
+    return terms
+
+
+def _mobius_series(exponents: dict[int, int], length: int) -> list[int]:
+    """The product of (1 - x^e)^a over exponents {e: a}, as a power series mod x^length.
+
+    A factor with a > 0 is a descending passes series[i] -= series[i - e],
+    and one with a < 0 is -a passes of running sums along every residue
+    class mod e. The multiplying factors go first. A factor with
+    e >= length acts beyond the series and is skipped.
+    """
+    series = [1] + [0] * (length - 1)
+    for e, a in sorted(exponents.items(), key=lambda item: -item[1]):
+        if e >= length:
+            continue
+        for _ in range(a):
+            series[e:] = map(sub, series[e:], series[:length - e])
+        for _ in range(-a):
+            for r in range(e):
+                series[r::e] = accumulate(series[r::e])
+    return series
 
 
 def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
@@ -88,15 +116,23 @@ class DivisorSpectrum(Record):
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "prime_power_subset", prime_power_subset)
 
-    def divisor_product(self) -> IntPolynomial:
-        """Product of the cyclotomic divisors, a unit-free divisor of x^P - 1."""
-        poly = IntPolynomial([1])
-        for n in sorted(self.divisors):
-            poly = poly * cyclotomic(n)
-        return poly
+    def cofactor(self) -> list[int]:
+        """(x^P - 1) / ((x - 1) d) as its P coefficients, d the product of the divisors.
+
+        Requires 1 not among the divisors. The quotient has degree below
+        P, so it is the power series of (1 - x)^-1 d^-1 truncated there.
+        Each Phi_n, n in the spectrum, takes its exponents from the primes
+        of P, and all are netted before one _mobius_series.
+        """
+        primes = [p for p, _ in factorize(self.modulus)]
+        exponents = {1: -1}
+        for n in self.divisors:
+            for e, a in _mobius_exponents(n, [p for p in primes if n % p == 0]):
+                exponents[e] = exponents.get(e, 0) - a
+        return _mobius_series(exponents, self.modulus)
 
     def divisor_product_at_one(self) -> int:
-        """Value at 1 of divisor_product, in closed form.
+        """Value at 1 of the product of the divisors, in closed form.
 
         Phi_1(1) = 0, Phi_{p^e}(1) = p and Phi_n(1) = 1 for every other n,
         so no polynomial product is needed.

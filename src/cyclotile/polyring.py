@@ -1,9 +1,8 @@
 """Dense integer-coefficient polynomials with exact arithmetic.
 
 Coefficients are Python ints stored in ascending degree order, so every
-value is exact at any size. The canonical form never has a trailing zero;
-the zero polynomial is the empty tuple and its degree is None rather than
-any numeric sentinel.
+value is exact at any size. The canonical form never has a trailing zero,
+so the zero polynomial is the empty tuple.
 """
 
 from __future__ import annotations
@@ -25,22 +24,8 @@ class IntPolynomial(Record):
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * exponent + [coefficient])
-
-    @property
-    def degree(self) -> int | None:
-        """Degree of the polynomial, None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, exponent: int) -> int:
-        return self.coeffs[exponent] if 0 <= exponent < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -51,12 +36,6 @@ class IntPolynomial(Record):
             out[i] += cf
         return IntPolynomial(out)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-cf for cf in self.coeffs])
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([other * cf for cf in self.coeffs])
@@ -65,27 +44,6 @@ class IntPolynomial(Record):
         return IntPolynomial(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            cf = self.coeffs[e]
-            if cf == 0:
-                continue
-            mag = abs(cf)
-            if e == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else "%d*" % mag
-                body = "%sx^%d" % (head, e) if e > 1 else "%sx" % head
-            parts.append(("-" if cf < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
 
 
 _STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}  # signed digits by width in bytes
@@ -157,14 +115,6 @@ def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntP
     return IntPolynomial(quot), IntPolynomial(rem[:shift])
 
 
-def poly_exact_div(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """The quotient f / g, defined only when g divides f exactly in Z[x]."""
-    quot, rem = poly_divmod(f, g)
-    if not rem.is_zero():
-        raise InexactDivision("remainder %s is nonzero" % (rem,))
-    return quot
-
-
 def reduce_mod_cyclic(f: IntPolynomial, modulus: int) -> IntPolynomial:
     """Reduce f modulo x^P - 1 by folding every exponent into [0, P)."""
     if modulus < 1:
@@ -181,10 +131,3 @@ def eval_at(f: IntPolynomial, point: int) -> int:
     for cf in reversed(f.coeffs):
         acc = acc * point + cf
     return acc
-
-
-def power_minus_one(modulus: int) -> IntPolynomial:
-    """The cyclic modulus x^P - 1."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return IntPolynomial([-1] + [0] * (modulus - 1) + [1])

@@ -5,8 +5,10 @@ m-multitiling for u when the cyclic convolution of u and v is the
 constant m; when v only takes the values 0 and 1 it is an m-tiling.
 Existence of an m-multitiling is decided exactly by a divisibility test
 on the mask polynomial of u. The verdict carries the cyclotomic divisor
-spectrum it was decided on, and both the general witness and the 0/1
-prime-power witness are built from that same spectrum.
+spectrum it was decided on, and both witnesses are built from that same
+spectrum with no polynomial product or division: the general one is a
+constant times the spectrum's cofactor, a truncated Moebius series, and
+the 0/1 prime-power one is a sum of two digit sets.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from .errors import (
     NotExists,
     NotPrimePower,
 )
-from .polyring import (
-    IntPolynomial,
-    eval_at,
-    poly_exact_div,
-    power_minus_one,
-    reduce_mod_cyclic,
-)
+from .polyring import IntPolynomial, eval_at, reduce_mod_cyclic
 from .record import Record
 
 
@@ -126,30 +122,23 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     return ExistenceVerdict(passed, multiplicity, mask_sum, product, spectrum)
 
 
-def _witness_base(modulus: int, divisor_product: IntPolynomial) -> IntPolynomial:
-    # (x^P - 1) / ((x - 1) * divisor_product); exact because the mask sum is
-    # nonzero, so x - 1 is not among the divisors.
-    denom = IntPolynomial([-1, 1]) * divisor_product
-    return poly_exact_div(power_minus_one(modulus), denom)
-
-
 def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     """Build an integer m-multitiling whenever the existence test passes.
 
-    The witness tile has the constant polynomial R with
-    R(1) = m * d(1) / masksum as its multiplier, where d is the product of
-    the cyclotomic divisors of the mask.
+    The witness tile is R (x^P - 1) / ((x - 1) d), where d is the product
+    of the cyclotomic divisors of the mask and the constant multiplier R
+    is m * d(1) / masksum. The passing test makes the mask sum nonzero, so
+    x - 1 is not among the divisors, and the quotient is the spectrum's
+    cofactor.
     """
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
     spectrum = verdict.spectrum
     constant = multiplicity * spectrum.divisor_product_at_one() // verdict.mask_sum
-    multiplier = IntPolynomial([constant])
-    witness_poly = multiplier * _witness_base(u.modulus, spectrum.divisor_product())
     return MultitilingWitness(
-        tile=tile_from_polynomial(witness_poly, u.modulus),
-        multiplier=multiplier,
+        tile=Tile(tuple(constant * cf for cf in spectrum.cofactor())),
+        multiplier=IntPolynomial([constant]),
         multiplicity=multiplicity,
     )
 

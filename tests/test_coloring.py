@@ -217,6 +217,18 @@ def test_perfect_parameters_agrees_with_checker():
     assert perfect_parameters(spec, "BW" * 512) == (512, 512)
 
 
+def test_perfect_parameters_many_jumps_at_large_order():
+    # 2^14 odd jumps on 2^16 vertices: alternation is perfect with b = c = 2k, and one
+    # flipped vertex spoils it. The jump operand is one packed integer, not k big sums
+    p, k = 2**16, 2**14
+    spec = CirculantSpec(p, tuple(range(1, 2 * k, 2)))
+    colors = "BW" * (p // 2)
+    assert perfect_parameters(spec, colors) == (2 * k, 2 * k)
+    assert perfect_parameters(spec, "W" + colors[1:]) is None
+    # all 2k = 2^16 jumps land on vertex 1: a count of 17 bits, carried into a third byte
+    assert perfect_parameters(CirculantSpec(2, (1,) * 2**15), "BW") == (2**16, 2**16)
+
+
 def test_perfect_parameters_rejects_bad_colors():
     spec = CirculantSpec(4, (1,))
     for colors in ("BBWWBBWW", "BW", "BBWWX"):

@@ -18,14 +18,23 @@ from cyclotile.polyring import (
     IntPolynomial,
     eval_at,
     poly_divmod,
-    poly_exact_div,
-    power_minus_one,
     reduce_mod_cyclic,
 )
 
 
 def totient(n):
     return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+def x_power_minus_one(n):
+    return IntPolynomial([-1] + [0] * (n - 1) + [1])
+
+
+def product_of_cyclotomics(indices):
+    prod = IntPolynomial([1])
+    for n in sorted(indices):
+        prod = prod * cyclotomic(n)
+    return prod
 
 
 def test_first_values():
@@ -39,26 +48,24 @@ def test_first_values():
 
 def test_degree_is_totient():
     for n in range(1, 120):
-        assert cyclotomic(n).degree == totient(n)
+        assert len(cyclotomic(n).coeffs) - 1 == totient(n)
 
 
 def test_divisor_product_identity():
     # the product goes through the multiplication kernel, not division
     for n in list(range(1, 601)) + [2310, 4600, 4620, 30030]:
-        prod = IntPolynomial([1])
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * cyclotomic(d)
-        assert prod.coeffs == power_minus_one(n).coeffs, n
+        prod = product_of_cyclotomics(d for d in range(1, n + 1) if n % d == 0)
+        assert prod.coeffs == x_power_minus_one(n).coeffs, n
 
 
 @functools.lru_cache(maxsize=None)
 def _recursive_cyclotomic(n):
     """x^n - 1 divided in turn by Phi_d for every proper divisor d of n."""
-    poly = power_minus_one(n)
+    poly = x_power_minus_one(n)
     for d in range(1, n):
         if n % d == 0:
-            poly = poly_exact_div(poly, _recursive_cyclotomic(d))
+            poly, rem = poly_divmod(poly, _recursive_cyclotomic(d))
+            assert rem.is_zero(), (n, d)
     return poly
 
 
@@ -129,7 +136,7 @@ def test_spectrum_zero_mask():
         divisor_spectrum(IntPolynomial([]), 5)
     # x^4 - 1 vanishes mod itself
     with pytest.raises(ZeroMask):
-        divisor_spectrum(power_minus_one(4), 4)
+        divisor_spectrum(x_power_minus_one(4), 4)
 
 
 def test_spectrum_contains_one_iff_root_at_one():
@@ -159,7 +166,7 @@ def test_full_and_prime_power_products_agree_at_one():
         spec = divisor_spectrum(f, p)
         if 1 in spec.divisors:
             continue
-        assert eval_at(spec.divisor_product(), 1) == prime_power_product_at_one(spec)
+        assert eval_at(product_of_cyclotomics(spec.divisors), 1) == prime_power_product_at_one(spec)
 
 
 def test_divisor_product_at_one_closed_form():
@@ -175,7 +182,8 @@ def test_divisor_product_at_one_closed_form():
             continue
         spec = divisor_spectrum(f, p)
         zero_sum += 1 in spec.divisors
-        assert spec.divisor_product_at_one() == eval_at(spec.divisor_product(), 1), values
+        product = product_of_cyclotomics(spec.divisors)
+        assert spec.divisor_product_at_one() == eval_at(product, 1), values
     assert zero_sum > 50
 
 

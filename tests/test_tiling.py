@@ -1,12 +1,13 @@
 """Multitiling verification, existence, and the two constructions."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from cyclotile.coloring import CirculantSpec, structured_tile
-from cyclotile.cyclotomic import divisor_spectrum
+from cyclotile.cyclotomic import cyclotomic, divisor_spectrum
 from cyclotile.errors import (
     ModulusMismatch,
     MultiplicityOutOfRange,
@@ -14,13 +15,7 @@ from cyclotile.errors import (
     NotPrimePower,
 )
 from cyclotile.oracle import search_tilings
-from cyclotile.polyring import (
-    IntPolynomial,
-    eval_at,
-    poly_exact_div,
-    power_minus_one,
-    reduce_mod_cyclic,
-)
+from cyclotile.polyring import IntPolynomial, eval_at, poly_divmod, reduce_mod_cyclic
 from cyclotile.tiling import (
     MultitilingWitness,
     Tile,
@@ -128,7 +123,7 @@ def test_witness_multiplier_identity():
         assert verify_multitiling(u, w.tile, m)
         mask_sum = eval_at(mask_polynomial(u), 1)
         spectrum = divisor_spectrum(mask_polynomial(u), p)
-        d_at_one = eval_at(spectrum.divisor_product(), 1)
+        d_at_one = eval_at(_cofactor_by_division(p, spectrum.divisors)[1], 1)
         assert eval_at(w.multiplier, 1) * mask_sum == m * d_at_one
         seen += 1
 
@@ -231,8 +226,19 @@ def test_equation_equivalence_random():
         m = rng.randrange(-6, 7)
         direct = verify_multitiling(u, v, m)
         product = mask_polynomial(u) * mask_polynomial(v)
-        residue = reduce_mod_cyclic(product - m * IntPolynomial([1] * p), p)
+        residue = reduce_mod_cyclic(product + -m * IntPolynomial([1] * p), p)
         assert direct == residue.is_zero()
+
+
+def _cofactor_by_division(p, divisors):
+    """(x^P - 1) / ((x - 1) * d) by long division, and d, the product of Phi_n over the divisors."""
+    product = IntPolynomial([1])
+    for n in sorted(divisors):
+        product = product * cyclotomic(n)
+    x_p_minus_one = IntPolynomial([-1] + [0] * (p - 1) + [1])
+    quotient, remainder = poly_divmod(x_p_minus_one, IntPolynomial([-1, 1]) * product)
+    assert remainder.is_zero()
+    return quotient, product
 
 
 def _tiling_by_division(u, m):
@@ -240,13 +246,63 @@ def _tiling_by_division(u, m):
     m * d(1) / masksum monomials of the divisor product d, times
     (x^P - 1) / ((x - 1) * d)."""
     p = u.modulus
-    product = multitiling_exists(u, m).spectrum.divisor_product()
+    base, product = _cofactor_by_division(p, multitiling_exists(u, m).spectrum.divisors)
     count = m * eval_at(product, 1) // sum(u.values)
     assert set(product.coeffs) <= {0, 1}
     chosen = [e for e, cf in enumerate(product.coeffs) if cf][:count]
     multiplier = IntPolynomial([1 if e in chosen else 0 for e in range(chosen[-1] + 1)])
-    base = poly_exact_div(power_minus_one(p), IntPolynomial([-1, 1]) * product)
     return tile_from_polynomial(multiplier * base, p)
+
+
+def _witness_by_division(u, m):
+    """C * (x^P - 1) / ((x - 1) * d) with C = m * d(1) / masksum, by long division."""
+    base, product = _cofactor_by_division(u.modulus, multitiling_exists(u, m).spectrum.divisors)
+    constant = m * eval_at(product, 1) // sum(u.values)
+    return tile_from_polynomial(constant * base, u.modulus)
+
+
+def _block_tile(rng, p):
+    """A small random mask times one or two blocks 1 + x^q + ... + x^((b - 1) q), bq | P."""
+    mask = IntPolynomial([rng.randrange(0, 3) for _ in range(3)] + [1])
+    for _ in range(rng.randrange(1, 3)):
+        b = rng.choice([d for d in range(2, p + 1) if p % d == 0])
+        q = rng.choice([d for d in range(1, p // b + 1) if p // b % d == 0])
+        block = [0] * ((b - 1) * q + 1)
+        block[::q] = [1] * b
+        mask = mask * IntPolynomial(block)
+    return tile_from_polynomial(mask, p)
+
+
+def _least_multiplicity(u):
+    """The least m > 0 that passes the existence test for a tile with a positive mask sum."""
+    mask_sum = sum(u.values)
+    return mask_sum // math.gcd(mask_sum, multitiling_exists(u, mask_sum).prime_power_product)
+
+
+def test_multitiling_witness_matches_division():
+    rng = random.Random(17)
+    built = 0
+    for values in [(0, 1)] * 300 + [(-1, 0, 1, 2)] * 300:
+        p = rng.randrange(1, 40)
+        u = Tile(tuple(rng.choice(values) for _ in range(p)))
+        m = rng.choice([1, 2, 3, 4, 6, 12, -2]) * rng.choice([1, sum(u.values) or 1])
+        if not multitiling_exists(u, m).passed:
+            continue
+        assert construct_multitiling(u, m).tile == _witness_by_division(u, m), (u, m)
+        built += 1
+    for _ in range(60):  # large spectra: products of blocks on orders with many divisors
+        p = rng.choice([60, 72, 120, 180, 210, 240, 360, 420])
+        u = _block_tile(rng, p)
+        m = rng.randrange(1, 4) * _least_multiplicity(u)
+        assert construct_multitiling(u, m).tile == _witness_by_division(u, m), (u, m)
+        built += 1
+    for p in (1024, 4096):
+        for _ in range(3):
+            u = _block_tile(rng, p)
+            m = _least_multiplicity(u)
+            assert construct_multitiling(u, m).tile == _witness_by_division(u, m), p
+            built += 1
+    assert built > 400
 
 
 def test_prime_power_tiling_matches_division():
