@@ -130,7 +130,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .oracle import search_colorings
 
     spec = CirculantSpec(args.P, args.distances)
-    report = search_colorings(spec, args.b, args.c, limit=args.limit)
+    bound = {} if args.max_states is None else {"max_states": args.max_states}
+    report = search_colorings(spec, args.b, args.c, limit=args.limit, **bound)
     _emit({
         "P": spec.modulus,
         "distances": list(spec.distances),
@@ -261,6 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--c", type=_positive, required=True)
     search.add_argument("--limit", type=_positive, default=None,
                         help="stop after this many colourings")
+    search.add_argument("--max-states", type=_positive, default=None,
+                        help="give up (exit 2) after classifying this many states;"
+                             " default 2^24")
     search.set_defaults(handler=_cmd_search)
 
     cyc = sub.add_parser("cyclotomic", help="print one cyclotomic polynomial")

@@ -6,11 +6,15 @@ is the integer whose bit g gives the colour (or tile value) at vertex g,
 vertex 0 in the least significant bit, Black encoded as 1. The census
 visits every state; a search visits only the states with the one number
 of ones that a counting argument leaves possible, in the same order.
+Every classifier counts directly on bit masks, a popcount per vertex and
+neighbour layer (or tile value), with no convolution and no algebra; its
+hits are confirmed by the naive graph-side or tile-side check.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
 from .errors import SearchSpaceTooLarge
@@ -46,7 +50,8 @@ def _colors_of(mask: int, modulus: int) -> str:
 
 
 def search_colorings(
-    spec: CirculantSpec, b: int, c: int, limit: int | None = None
+    spec: CirculantSpec, b: int, c: int, limit: int | None = None,
+    max_states: int = 2**MAX_EXHAUSTIVE_ORDER,
 ) -> SearchReport:
     """Every (b, c)-perfect colouring of the graph, in counter order.
 
@@ -58,6 +63,11 @@ def search_colorings(
     report of the full sweep is returned without classifying one. With a
     limit the search stops after that many hits and the report says
     whether the enumeration ran to the end anyway.
+
+    max_states bounds the work: a search that would classify more states
+    than that raises SearchSpaceTooLarge, naming the counter position it
+    reached. The default lets every search at P <= MAX_EXHAUSTIVE_ORDER
+    run in full, since one weight class there has at most C(24, 12) states.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
@@ -67,16 +77,25 @@ def search_colorings(
         raise ValueError("b and c must be positive")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     if max(b, c) > 2 * spec.k or p * c % (b + c):
         return SearchReport(spec, b, c, (), True, 1 << p)
     found = []
     examined = 1 << p
-    for mask, params in _classified(spec, _masks_of_weight(p, p * c // (b + c))):
+    masks = _masks_of_weight(p, p * c // (b + c))
+    for mask, params in _classified(spec, itertools.islice(masks, max_states)):
         if params == (b, c):
             found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
             if limit is not None and len(found) >= limit:
                 examined = mask + 1
                 break
+    else:
+        unclassified = next(masks, None)
+        if unclassified is not None:
+            raise SearchSpaceTooLarge(
+                "classified %d states and reached counter position %d of 2^%d;"
+                " raise max_states to go further" % (max_states, unclassified, p))
     return SearchReport(spec, b, c, tuple(found), examined == 1 << p, examined)
 
 
@@ -84,10 +103,13 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
 
     Summing the cover over the group gives sum(u) * sum(v) = P * m, so
-    only the masks with w = P * m / sum(u) ones are built as tiles, and
-    verify_multitiling decides each of them. When sum(u) = 0 and m = 0
-    every weight qualifies; otherwise a w that is not an integer in
-    [0, P] leaves nothing to try.
+    only the masks with w = P * m / sum(u) ones are tried. When sum(u) = 0
+    and m = 0 every weight qualifies; otherwise a w that is not an integer
+    in [0, P] leaves nothing to try. A mask v covers vertex g with
+    sum over the values a of u of a * popcount(v & bits), where bits holds
+    the h with u(g - h) = a; a mask is dropped at the first vertex whose
+    cover is not m. Only a hit is built as a Tile, and verify_multitiling,
+    the naive convolution, confirms each one.
     """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
@@ -99,10 +121,27 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
         masks = ()
     else:
         masks = _masks_of_weight(p, p * m // u_sum)
+    # per vertex g, (a, bits of the h with u((g - h) mod P) = a) for each nonzero value a
+    rows = []
+    for g in range(p):
+        by_value: dict[int, int] = {}
+        for h in range(p):
+            a = u.values[(g - h) % p]
+            if a:
+                by_value[a] = by_value.get(a, 0) | 1 << h
+        rows.append(tuple(by_value.items()))
     out = []
     for mask in masks:
-        v = Tile(tuple((mask >> g) & 1 for g in range(p)))
-        if verify_multitiling(u, v, m):
+        for row in rows:
+            cover = 0
+            for a, bits in row:
+                cover += a * (mask & bits).bit_count()
+            if cover != m:
+                break
+        else:
+            v = Tile(tuple((mask >> g) & 1 for g in range(p)))
+            if not verify_multitiling(u, v, m):
+                raise AssertionError("oracle cover count disagrees with the direct convolution")
             out.append(v)
     return out
 

@@ -253,6 +253,25 @@ def test_search_impossible_weight_answers_at_once(capsys):
     assert (doc["count"], doc["exhausted"], doc["states_examined"]) == (0, True, 2**30)
 
 
+def test_search_max_states_is_usage_error(capsys):
+    # 30 of 40 vertices black: the first hit lies far beyond 1000 states of that weight
+    code, out, err = invoke(
+        capsys, "search", "--P", "40", "--distances", "1,2", "--b", "1", "--c", "3",
+        "--limit", "1", "--max-states", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: classified 1000 states and reached counter position ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, _ = invoke(
+        capsys, "search", "--P", "4", "--distances", "1", "--b", "1", "--c", "1",
+        "--max-states", "6")
+    assert code == 0 and json.loads(out)["count"] == 4
+    assert invoke(capsys, "search", "--P", "4", "--distances", "1", "--b", "1", "--c", "1",
+                  "--max-states", "5")[0] == 2
+    assert invoke(capsys, "search", "--P", "4", "--distances", "1", "--b", "1", "--c", "1",
+                  "--max-states", "0")[0] == 2
+
+
 def test_cyclotomic(capsys):
     code, out, _ = invoke(capsys, "cyclotomic", "12")
     assert code == 0

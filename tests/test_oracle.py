@@ -1,5 +1,6 @@
 """The brute-force enumeration oracles and their agreement with the constructions."""
 
+import inspect
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from cyclotile import oracle
 from cyclotile.coloring import (
     CirculantSpec,
     Coloring,
+    coloring_to_tiling,
     is_perfect_coloring,
     structured_tile,
     tiling_to_coloring,
@@ -129,6 +131,68 @@ def test_search_tilings_matches_unfiltered_filter():
         hits += len(expected)
         zero_sum_hits += sum(u.values) == 0 and m == 0 and len(expected) > 1
     assert hits > 50 and zero_sum_hits > 10
+
+
+def _every_mask_filtered(u, m):
+    p = u.modulus
+    everything = (Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p))
+    return [v for v in everything if verify_multitiling(u, v, m)]
+
+
+def test_search_tilings_is_the_census_on_structured_tiles():
+    # graphs shaped like the benchmark's: the c-tilings of the structured tile are
+    # the census's (b, c) bucket read as indicator tiles, in the same counter order
+    hits = 0
+    for p in (14, 15, 16):
+        for distances in [(1, 2, 4), (1, 3, 6)]:
+            spec = CirculantSpec(p, distances)
+            census = census_colorings(spec)
+            for b in range(1, 2 * spec.k + 1):
+                for c in range(1, 2 * spec.k + 1):
+                    expected = [coloring_to_tiling(col) for col in census.get((b, c), [])]
+                    assert search_tilings(structured_tile(spec, b, c), c) == expected, (spec, b, c)
+                    hits += len(expected)
+    assert hits > 100
+
+
+def test_search_tilings_colliding_values_and_negative_centre():
+    # b + c below 2k makes the centre value b + c - 2k negative, and distances that
+    # repeat or pair with themselves (l = P / 2) make entries of 2 and more
+    hits = 0
+    for spec, b, c in [(CirculantSpec(8, (1, 1, 4)), 1, 1), (CirculantSpec(8, (1, 1, 4)), 2, 2),
+                       (CirculantSpec(10, (5, 8, 9)), 3, 2), (CirculantSpec(10, (5, 8, 9)), 2, 3),
+                       (CirculantSpec(10, (5, 6, 7)), 2, 3)]:
+        u = structured_tile(spec, b, c)
+        assert u.values[spec.max_distance] < 0 and max(u.values) >= 2, u
+        for m in sorted({-1, 0, 1, 2, c}):
+            expected = _every_mask_filtered(u, m)
+            assert search_tilings(u, m) == expected, (spec, b, c, m)
+            hits += len(expected)
+    assert hits > 30
+
+
+def test_search_tilings_all_zero_tile():
+    for p in (1, 5, 9):
+        u = Tile((0,) * p)
+        found = search_tilings(u, 0)
+        assert found == [Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p)]
+        assert search_tilings(u, 1) == [] and search_tilings(u, -2) == []
+
+
+def test_search_tilings_confirms_each_hit_once(monkeypatch):
+    calls = []
+
+    def counting(u, v, m):
+        calls.append(v)
+        return verify_multitiling(u, v, m)
+
+    monkeypatch.setattr(oracle, "verify_multitiling", counting)
+    spec = CirculantSpec(12, (1, 2))
+    found = search_tilings(structured_tile(spec, 2, 2), 2)
+    assert calls == found and len(found) >= 1
+    monkeypatch.setattr(oracle, "verify_multitiling", lambda u, v, m: False)
+    with pytest.raises(AssertionError):
+        search_tilings(structured_tile(spec, 2, 2), 2)
 
 
 def _check_agreement(spec, b, c):
@@ -298,3 +362,40 @@ def test_search_colorings_indivisible_weight_classifies_nothing(monkeypatch):
     assert calls == []
     report = search_colorings(CirculantSpec(10, (1, 2)), 1, 4)  # w = 8
     assert len(calls) == 1 and report.exhausted and report.states_examined == 2**10
+
+
+def test_search_colorings_max_states_default():
+    default = inspect.signature(search_colorings).parameters["max_states"].default
+    assert default == 2**oracle.MAX_EXHAUSTIVE_ORDER
+
+
+def test_search_colorings_max_states_bounds_the_classified_states():
+    # C_8(1, 2) at (2, 2) classifies the C(8, 4) = 70 masks of weight 4
+    spec = CirculantSpec(8, (1, 2))
+    full = search_colorings(spec, 2, 2)
+    assert search_colorings(spec, 2, 2, max_states=70) == full
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        search_colorings(spec, 2, 2, max_states=69)
+    # the 70th mask of weight 4 is 0b11110000: the counter stopped there
+    assert "classified 69 states" in str(exc.value)
+    assert "counter position 240 of 2^8" in str(exc.value)
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            search_colorings(spec, 2, 2, max_states=bound)
+
+
+def test_search_colorings_max_states_with_limit():
+    # the first (2, 2) hit is BWBWBWBW, mask 85; the bound counts the weight-4 masks up to it
+    spec = CirculantSpec(8, (1, 2))
+    needed = list(oracle._masks_of_weight(8, 4)).index(85) + 1
+    report = search_colorings(spec, 2, 2, limit=1, max_states=needed)
+    assert report == search_colorings(spec, 2, 2, limit=1)
+    assert [col.colors for col in report.found] == ["BWBWBWBW"] and report.states_examined == 86
+    with pytest.raises(SearchSpaceTooLarge, match="counter position 85 of 2\\^8"):
+        search_colorings(spec, 2, 2, limit=1, max_states=needed - 1)
+    # a limit past P = 24 is bounded by the states, not by the hits
+    with pytest.raises(SearchSpaceTooLarge, match="classified 1000 states"):
+        search_colorings(CirculantSpec(40, (1, 2)), 1, 3, limit=1, max_states=1000)
+    # an impossible weight classifies nothing, so any bound is met
+    report = search_colorings(CirculantSpec(40, (1, 2)), 1, 2, limit=1, max_states=1)
+    assert report.exhausted and report.found == ()
