@@ -27,7 +27,6 @@ _HOME = {
     "construct_distances": "admissibility",
     "construct_perfect_coloring": "admissibility",
     "witness_to_document": "admissibility",
-    "crt": "arith",
     "divisors": "arith",
     "factorize": "arith",
     "is_prime_power": "arith",
@@ -66,84 +65,17 @@ _HOME = {
     "search_colorings": "oracle",
     "search_tilings": "oracle",
     "IntPolynomial": "polyring",
-    "eval_at": "polyring",
     "poly_divmod": "polyring",
-    "reduce_mod_cyclic": "polyring",
     "ExistenceVerdict": "tiling",
     "MultitilingWitness": "tiling",
     "Tile": "tiling",
     "construct_multitiling": "tiling",
     "construct_tiling_prime_power": "tiling",
-    "mask_polynomial": "tiling",
     "multitiling_exists": "tiling",
-    "tile_from_polynomial": "tiling",
     "verify_multitiling": "tiling",
 }
 
-__all__ = [
-    "AdmissibilityVerdict",
-    "BLACK",
-    "BoundViolated",
-    "CirculantSpec",
-    "Coloring",
-    "ConstructionWitness",
-    "CyclotileError",
-    "DivisorSpectrum",
-    "ExistenceVerdict",
-    "GraphConditionVerdict",
-    "Inadmissible",
-    "InexactDivision",
-    "InputTooLarge",
-    "IntPolynomial",
-    "ModulusMismatch",
-    "MultiplicityOutOfRange",
-    "MultitilingWitness",
-    "NotExists",
-    "NotPrimePower",
-    "NotPrimePowerSum",
-    "NotZeroOne",
-    "ParamTriple",
-    "PerPrimeResidues",
-    "SearchReport",
-    "SearchSpaceTooLarge",
-    "Tile",
-    "Violation",
-    "WHITE",
-    "ZeroMask",
-    "build_document",
-    "census_colorings",
-    "check_admissible",
-    "check_graph_condition",
-    "coloring_to_tiling",
-    "construct_distances",
-    "construct_multitiling",
-    "construct_perfect_coloring",
-    "construct_tiling_prime_power",
-    "crt",
-    "cyclotomic",
-    "cyclotomic_divides",
-    "divisor_spectrum",
-    "divisors",
-    "eval_at",
-    "factorize",
-    "is_perfect_coloring",
-    "is_prime_power",
-    "mask_polynomial",
-    "multitiling_exists",
-    "parse_document",
-    "perfect_parameters",
-    "poly_divmod",
-    "prime_power_base",
-    "prime_power_product_at_one",
-    "reduce_mod_cyclic",
-    "search_colorings",
-    "search_tilings",
-    "structured_tile",
-    "tile_from_polynomial",
-    "tiling_to_coloring",
-    "verify_multitiling",
-    "witness_to_document",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

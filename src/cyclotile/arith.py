@@ -166,12 +166,6 @@ def prime_power_base(n: int) -> int:
     return fac[0][0]
 
 
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Minimal nonnegative solution of x = r_i (mod m_i) for pairwise coprime m_i."""
-    basis, modulus = crt_basis(moduli)
-    return sum(r * e for r, e in zip(residues, basis)) % modulus
-
-
 def crt_basis(moduli: list[int]) -> tuple[list[int], int]:
     """The CRT basis e_i of pairwise coprime m_i, and their product M.
 

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import add, sub
 
 from .arith import factorize, prime_power_base
 from .errors import InputTooLarge, ZeroMask
-from .polyring import IntPolynomial, poly_divmod, reduce_mod_cyclic
+from .polyring import IntPolynomial, poly_divmod
 from .record import Record
 
 MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anything is allocated
@@ -140,11 +141,13 @@ class DivisorSpectrum(Record):
         return 0 if 1 in self.divisors else prime_power_product_at_one(self)
 
 
-def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:
-    """Spectrum of f on the cyclic group of the given order.
+def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
+    """Spectrum of the mask sum of values[e] x^e on the cyclic group of the given order.
 
-    f is reduced modulo x^P - 1 first; a mask that reduces to zero has
-    every answer trivially yes and is rejected as ZeroMask. No Phi_n is
+    The mask f is folded modulo x^P - 1 first, by adding its blocks of
+    length P, so P values, as a tile has, are only copied. A modulus
+    below 1 is a ValueError, and a mask that folds to zero has every
+    answer trivially yes and is rejected as ZeroMask. No Phi_n is
     built and nothing is divided. For each n | P the fold of f modulo
     x^n - 1 (which Phi_n divides, so no answer changes) is tested by
     _vanishes_at_primitive_roots, and the fold for n comes from the fold
@@ -154,19 +157,20 @@ def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:
     P coefficient operations, and the folds kept at any time hold at
     most about 2P coefficients.
     """
-    reduced = reduce_mod_cyclic(f, modulus)
-    if reduced.is_zero():
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    top = list(values)
+    if len(top) != modulus:
+        top = _fold(top + [0] * (-len(top) % modulus), modulus)
+    if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
     primes = [p for p, _ in factorize(modulus)]
     hits, prime_powers = [], []
-    top = list(reduced.coeffs) + [0] * (modulus - len(reduced.coeffs))
     # (n, the fold that n's fold is added up from, index of the last prime divided out)
     pending = [(modulus, top, 0)]
     while pending:
         n, outer, first = pending.pop()
-        fold = outer[:n]
-        for start in range(n, len(outer), n):
-            fold = list(map(add, fold, outer[start:start + n]))
+        fold = _fold(outer, n)
         own = [p for p in primes if n % p == 0]
         if _vanishes_at_primitive_roots(fold, own):
             hits.append(n)
@@ -180,6 +184,14 @@ def divisor_spectrum(f: IntPolynomial, modulus: int) -> DivisorSpectrum:
         divisors=frozenset(hits),
         prime_power_subset=frozenset(prime_powers),
     )
+
+
+def _fold(values: list[int], n: int) -> list[int]:
+    """values modulo x^n - 1, for a length that n divides: the sum of its blocks of length n."""
+    fold = values[:n]
+    for start in range(n, len(values), n):
+        fold = list(map(add, fold, values[start:start + n]))
+    return fold
 
 
 def _vanishes_at_primitive_roots(fold: list[int], primes: list[int]) -> bool:

@@ -27,15 +27,6 @@ class IntPolynomial(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, cf in enumerate(b):
-            out[i] += cf
-        return IntPolynomial(out)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([other * cf for cf in self.coeffs])
@@ -113,21 +104,3 @@ def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntP
         for j, gc in terms:
             rem[base + j] -= q * gc
     return IntPolynomial(quot), IntPolynomial(rem[:shift])
-
-
-def reduce_mod_cyclic(f: IntPolynomial, modulus: int) -> IntPolynomial:
-    """Reduce f modulo x^P - 1 by folding every exponent into [0, P)."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    out = [0] * modulus
-    for e, cf in enumerate(f.coeffs):
-        out[e % modulus] += cf
-    return IntPolynomial(out)
-
-
-def eval_at(f: IntPolynomial, point: int) -> int:
-    """Exact value of f at an integer point, by Horner's rule."""
-    acc = 0
-    for cf in reversed(f.coeffs):
-        acc = acc * point + cf
-    return acc

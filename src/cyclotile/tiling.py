@@ -25,7 +25,7 @@ from .errors import (
     NotExists,
     NotPrimePower,
 )
-from .polyring import IntPolynomial, eval_at, reduce_mod_cyclic
+from .polyring import IntPolynomial
 from .record import Record
 
 
@@ -76,18 +76,6 @@ class MultitilingWitness(Record):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
-def mask_polynomial(u: Tile) -> IntPolynomial:
-    """The mask of a tile: sum of u(a) x^a over the group."""
-    return IntPolynomial(u.values)
-
-
-def tile_from_polynomial(f: IntPolynomial, modulus: int) -> Tile:
-    """Read a polynomial back as a tile, folding exponents modulo the group order."""
-    reduced = reduce_mod_cyclic(f, modulus)
-    values = list(reduced.coeffs) + [0] * (modulus - len(reduced.coeffs))
-    return Tile(tuple(values))
-
-
 def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
     """Check by direct convolution that v covers the group m-fold with tile u."""
     if u.modulus != v.modulus:
@@ -105,18 +93,19 @@ def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
 def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     """Decide whether any m-multitiling with tile u exists.
 
-    The test is: the mask sum must be nonzero and must divide m times the
-    value at 1 of the prime-power part of the spectrum. A mask sum of zero
-    is an automatic fail, never an error. This is the only place the
-    spectrum of a tile is computed; callers reuse verdict.spectrum.
+    The test is: the mask sum, the sum of u's values, must be nonzero and
+    must divide m times the value at 1 of the prime-power part of the
+    spectrum. A mask sum of zero is an automatic fail, never an error, and
+    an all-zero tile has no spectrum. This is the only place the spectrum
+    of a tile is computed, straight from u.values; callers reuse
+    verdict.spectrum.
     """
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
-    mask = mask_polynomial(u)
-    mask_sum = eval_at(mask, 1)
-    if mask.is_zero():
+    if not any(u.values):
         return ExistenceVerdict(False, multiplicity, 0, None, None)
-    spectrum = divisor_spectrum(mask, u.modulus)
+    mask_sum = sum(u.values)
+    spectrum = divisor_spectrum(u.values, u.modulus)
     product = prime_power_product_at_one(spectrum)
     passed = mask_sum != 0 and (multiplicity * product) % mask_sum == 0
     return ExistenceVerdict(passed, multiplicity, mask_sum, product, spectrum)
@@ -159,7 +148,7 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     factors = factorize(u.modulus)
     if len(factors) != 1:
         raise NotPrimePower("group order %d is not a prime power" % u.modulus)
-    mask_sum = eval_at(mask_polynomial(u), 1)
+    mask_sum = sum(u.values)
     if multiplicity <= 0 or multiplicity > mask_sum:
         raise MultiplicityOutOfRange(
             "need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity)

@@ -6,7 +6,7 @@ import pytest
 from cyclotile import arith
 from cyclotile.arith import (
     FACTOR_LIMIT,
-    crt,
+    crt_basis,
     divisors,
     factorize,
     is_prime_power,
@@ -77,8 +77,10 @@ def test_prime_power_base():
 
 
 def test_crt_pairs():
-    x = crt([2, 3], [3, 5])
-    assert x % 3 == 2 and x % 5 == 3 and 0 <= x < 15
+    basis, modulus = crt_basis([3, 5])
+    assert modulus == 15
+    x = sum(r * e for r, e in zip([2, 3], basis)) % modulus
+    assert x == next(y for y in range(15) if y % 3 == 2 and y % 5 == 3)
 
 
 def test_crt_random():
@@ -90,10 +92,12 @@ def test_crt_random():
             if all(math.gcd(m, seen) == 1 for seen in moduli):
                 moduli.append(m)
         residues = [rng.randrange(m) for m in moduli]
-        x = crt(residues, moduli)
-        assert 0 <= x < math.prod(moduli)
-        for r, m in zip(residues, moduli):
-            assert x % m == r
+        basis, modulus = crt_basis(moduli)
+        assert modulus == math.prod(moduli)
+        x = sum(r * e for r, e in zip(residues, basis)) % modulus
+        # the least solution, searched along the residue class of the first modulus
+        assert x == next(y for y in range(residues[0], modulus, moduli[0])
+                         if all(y % m == r for r, m in zip(residues, moduli)))
 
 
 def trial_factorize(n):

@@ -1,6 +1,7 @@
 """The package namespace: each public name loads its submodule on first use."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import cyclotile
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_fresh(code: str, *argv: str) -> list:
@@ -62,3 +64,21 @@ def test_verify_colouring_loads_no_algebra(tmp_path):
             "cyclotile.cyclotomic", "cyclotile.arith", "csv"})))
     """
     assert run_fresh(code, str(doc)) == []
+
+
+def test_benchmark_tracer_finds_every_function_its_metrics_need():
+    # a traced benchmark run skips a function it cannot find and drops the metrics that need it
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", os.path.join(REPO, "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name in sorted({name for needs, _ in tracer.METRICS.values() for name in needs}):
+        layer, *path = name.split(".")
+        owner = importlib.import_module("cyclotile." + layer)
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(name)
+    assert missing == []
+    assert callable(importlib.import_module("cyclotile.cyclotomic").cyclotomic.cache_info)
