@@ -4,17 +4,19 @@ This is the ground truth the algebraic machinery is tested against: no
 cleverness, just enumeration of the 2^P states in a fixed order. A state
 is the integer whose bit g gives the colour (or tile value) at vertex g,
 vertex 0 in the least significant bit, Black encoded as 1. The census
-visits every state; a search visits only the states with the one number
-of ones that a counting argument leaves possible, in the same order.
-Every classifier counts directly on bit masks, a popcount per vertex and
-neighbour layer (or tile value), with no convolution and no algebra; its
-hits are confirmed by the naive graph-side or tile-side check.
+visits every state, one at a time, with a popcount per vertex and
+neighbour layer. A search visits only the states with the one number of
+ones that a counting argument leaves possible, in the same order, in
+blocks of 2^BLOCK_BITS states that share their high bits: one block is
+classified with a few big-int operations per vertex. Every count is a
+direct weighted sum of state bits, with no convolution and no algebra,
+and every hit is confirmed by the naive graph-side or tile-side check.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
+import functools
 
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
 from .errors import SearchSpaceTooLarge
@@ -22,6 +24,10 @@ from .record import Record
 from .tiling import Tile, verify_multitiling
 
 MAX_EXHAUSTIVE_ORDER = 24
+# a search classifies the 2^BLOCK_BITS states that share their high bits at once; wider
+# blocks cost more per table entry, narrower ones more Python steps, and 11-12 measured
+# fastest both at P 14-16 and for a limited search at P = 40
+BLOCK_BITS = 12
 
 
 class SearchReport(Record):
@@ -57,12 +63,15 @@ def search_colorings(
 
     Counting the black-white edges from both ends gives |B| * b = |W| * c,
     so every hit has exactly w = P * c / (b + c) black vertices. Only the
-    C(P, w) states of that weight are classified, by the census's
-    classifier, in ascending order; when w is not an integer, or b or c
-    exceeds the 2k neighbours a vertex has, no state can match and the
-    report of the full sweep is returned without classifying one. With a
-    limit the search stops after that many hits and the report says
-    whether the enumeration ran to the end anyway.
+    C(P, w) states of that weight are classified, in ascending order, by
+    the block walk: a vertex is perfect when it has 2k - b black
+    neighbours if it is black and c if it is white, that is when its
+    neighbours' colour bits, with its own bit weighted b + c - 2k, sum to
+    c. When w is not an integer, or b or c exceeds the 2k neighbours a
+    vertex has, no state can match and the report of the full sweep is
+    returned without classifying one. With a limit the search stops after
+    that many hits and the report says whether the enumeration ran to the
+    end anyway. Every hit is confirmed by is_perfect_coloring.
 
     max_states bounds the work: a search that would classify more states
     than that raises SearchSpaceTooLarge, naming the counter position it
@@ -81,21 +90,18 @@ def search_colorings(
         raise ValueError("max_states must be positive")
     if max(b, c) > 2 * spec.k or p * c % (b + c):
         return SearchReport(spec, b, c, (), True, 1 << p)
+    rows = []
+    for g in range(p):
+        row = collections.Counter(spec.neighbors(g))
+        row[g] += b + c - 2 * spec.k
+        rows.append({h: a for h, a in row.items() if a})
     found = []
     examined = 1 << p
-    masks = _masks_of_weight(p, p * c // (b + c))
-    for mask, params in _classified(spec, itertools.islice(masks, max_states)):
-        if params == (b, c):
-            found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
-            if limit is not None and len(found) >= limit:
-                examined = mask + 1
-                break
-    else:
-        unclassified = next(masks, None)
-        if unclassified is not None:
-            raise SearchSpaceTooLarge(
-                "classified %d states and reached counter position %d of 2^%d;"
-                " raise max_states to go further" % (max_states, unclassified, p))
+    for mask in _walk(rows, c, p * c // (b + c), max_states):
+        found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
+        if limit is not None and len(found) >= limit:
+            examined = mask + 1
+            break
     return SearchReport(spec, b, c, tuple(found), examined == 1 << p, examined)
 
 
@@ -105,64 +111,133 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     Summing the cover over the group gives sum(u) * sum(v) = P * m, so
     only the masks with w = P * m / sum(u) ones are tried. When sum(u) = 0
     and m = 0 every weight qualifies; otherwise a w that is not an integer
-    in [0, P] leaves nothing to try. A mask v covers vertex g with
-    sum over the values a of u of a * popcount(v & bits), where bits holds
-    the h with u(g - h) = a; a mask is dropped at the first vertex whose
-    cover is not m. Only a hit is built as a Tile, and verify_multitiling,
-    the naive convolution, confirms each one.
+    in [0, P] leaves nothing to try. A mask v covers vertex g with the sum
+    of u(g - h) over the h in v, so the block walk classifies the masks
+    with weight u(g - h) on bit h at vertex g and target m everywhere.
+    Only a hit is built as a Tile, and verify_multitiling, the naive
+    convolution, confirms each one.
     """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
     u_sum = sum(u.values)
-    if u_sum == 0:
-        masks = range(1 << p) if m == 0 else ()
-    elif p * m % u_sum or not 0 <= p * m // u_sum <= p:
-        masks = ()
+    if u_sum == 0 and m == 0:
+        weight = None
+    elif u_sum == 0 or p * m % u_sum or not 0 <= p * m // u_sum <= p:
+        return []
     else:
-        masks = _masks_of_weight(p, p * m // u_sum)
-    # per vertex g, (a, bits of the h with u((g - h) mod P) = a) for each nonzero value a
-    rows = []
-    for g in range(p):
-        by_value: dict[int, int] = {}
-        for h in range(p):
-            a = u.values[(g - h) % p]
-            if a:
-                by_value[a] = by_value.get(a, 0) | 1 << h
-        rows.append(tuple(by_value.items()))
+        weight = p * m // u_sum
+    rows = [{h: u.values[(g - h) % p] for h in range(p) if u.values[(g - h) % p]}
+            for g in range(p)]
     out = []
-    for mask in masks:
-        for row in rows:
-            cover = 0
-            for a, bits in row:
-                cover += a * (mask & bits).bit_count()
-            if cover != m:
-                break
-        else:
-            v = Tile(tuple((mask >> g) & 1 for g in range(p)))
-            if not verify_multitiling(u, v, m):
-                raise AssertionError("oracle cover count disagrees with the direct convolution")
-            out.append(v)
+    for mask in _walk(rows, m, weight):
+        v = Tile(tuple((mask >> g) & 1 for g in range(p)))
+        if not verify_multitiling(u, v, m):
+            raise AssertionError("oracle cover count disagrees with the direct convolution")
+        out.append(v)
     return out
 
 
-def _masks_of_weight(p: int, w: int):
-    """The P-bit masks with exactly w ones, in ascending order, for 0 <= w <= P.
+def _sums(weights, full: int, bits: tuple[int, ...]) -> dict[int, int]:
+    """{t: the block states whose bits h, weighted by a, sum to t} for the (h, a) in weights.
 
-    Gosper's step goes from one mask to the next larger of the same
-    weight: the lowest block of ones moves its top bit one place up and
-    the rest of the block back down to bit 0.
+    Each term splits every set in two: the states with bit h clear keep
+    their sum, the states with bit h set (bits[h]) add a to it.
     """
-    if w == 0:
-        yield 0
-        return
-    mask = (1 << w) - 1
-    end = 1 << p
-    while mask < end:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((ripple ^ mask) >> (low.bit_length() + 1))
+    sums = {0: full}
+    for h, a in weights:
+        ones = bits[h]
+        zeros = full ^ ones
+        out: dict[int, int] = {}
+        for t, states in sums.items():
+            keep = states & zeros
+            if keep:
+                out[t] = out.get(t, 0) | keep
+            if keep != states:
+                out[t + a] = out.get(t + a, 0) | states ^ keep
+        sums = out
+    return sums
+
+
+@functools.cache
+def _block(width: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The set of all 2^width low parts, the sets with bit h set, and the sets with j ones."""
+    full = (1 << (1 << width)) - 1
+    # runs of 2^h zeros then 2^h ones
+    bits = tuple(((1 << (1 << h)) - 1 << (1 << h)) * (full // ((1 << (2 << h)) - 1))
+                 for h in range(width))
+    classes = _sums([(h, 1) for h in range(width)], full, bits)
+    return full, bits, tuple(classes[j] for j in range(width + 1))
+
+
+def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_states: int | None = None):
+    """The P-bit masks v, ascending, with sum over h of rows[g][h] * v_h == target at every g.
+
+    Only masks with weight ones are classified (every mask when weight
+    is None). The walk takes the 2^B masks that share their high bits
+    P-1 ... B (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one
+    int, and classifies the whole block at once. The low bits' share of
+    a vertex's sum is tabulated once per call, as the set of low parts
+    giving each sum; in a block the high bits add a constant, so the
+    block's masks that satisfy a vertex are one table entry, and each
+    vertex costs a popcount per distinct high weight, a look-up and an
+    AND. The blocks step from one high part to the next whose popcount
+    leaves room for weight ones. With max_states, raises
+    SearchSpaceTooLarge after yielding the hits among the first
+    max_states masks classified, if there are more to classify.
+    """
+    p = len(rows)
+    width = min(BLOCK_BITS, p)
+    full, bits, classes = _block(width)
+    vertices = []
+    for row in rows:
+        by_weight: dict[int, int] = {}  # weight a -> the high bits with that weight
+        for h, a in row.items():
+            if h >= width:
+                by_weight[a] = by_weight.get(a, 0) | 1 << (h - width)
+        sums = _sums([(h, a) for h, a in row.items() if h < width], full, bits)
+        vertices.append((tuple(by_weight.items()), {target - t: states for t, states in sums.items()}))
+    blocks = 1 << (p - width)
+    classified = 0
+    high = 0
+    while high < blocks:
+        if weight is None:
+            acc = full
+        else:
+            ones = high.bit_count()
+            if ones > weight:  # the next high part with fewer ones
+                high += high & -high
+                continue
+            if ones + width < weight:  # the next high part with more ones
+                high |= high + 1
+                continue
+            acc = classes[weight - ones]
+        base = high << width
+        stop = None
+        if max_states is not None:
+            classified += acc.bit_count()
+            if classified > max_states:
+                rest = acc
+                for _ in range(acc.bit_count() - (classified - max_states)):
+                    rest &= rest - 1
+                stop = rest & -rest
+                acc &= stop - 1
+        for groups, table in vertices:
+            total = 0
+            for a, group in groups:
+                total += a * (high & group).bit_count()
+            acc &= table.get(total, 0)
+            if not acc:
+                break
+        while acc:
+            low = acc & -acc
+            yield base | (low.bit_length() - 1)
+            acc ^= low
+        if stop is not None:
+            raise SearchSpaceTooLarge(
+                "classified %d states and reached counter position %d of 2^%d;"
+                " raise max_states to go further" % (max_states, base | (stop.bit_length() - 1), p))
+        high += 1
 
 
 def _confirmed(spec: CirculantSpec, col: Coloring) -> Coloring:

@@ -1,5 +1,6 @@
 """The brute-force enumeration oracles and their agreement with the constructions."""
 
+import functools
 import inspect
 import itertools
 import random
@@ -300,23 +301,47 @@ def test_census_too_large():
         census_colorings(CirculantSpec(25, (1,)))
 
 
-def test_masks_of_weight_is_the_popcount_class():
-    for p in range(13):
-        for w in range(p + 1):
-            expected = [mask for mask in range(1 << p) if mask.bit_count() == w]
-            assert list(oracle._masks_of_weight(p, w)) == expected, (p, w)
+@functools.lru_cache(maxsize=None)
+def _weight_class(p, w):
+    return tuple(mask for mask in range(1 << p) if mask.bit_count() == w)
 
 
-def _swept(spec, b, c, limit, classified):
-    # what a search over every state reports: hits in counter order, the counter position
-    found, examined = [], 2**spec.modulus
-    for mask, params in classified:
-        if params == (b, c):
-            found.append("".join("B" if (mask >> g) & 1 else "W" for g in range(spec.modulus)))
-            if limit is not None and len(found) >= limit:
-                examined = mask + 1
-                break
-    return found, examined == 2**spec.modulus, examined
+def _mask_of(colors):
+    return sum(1 << g for g, x in enumerate(colors) if x == "B")
+
+
+def _bounded(spec, b, c, limit, max_states, perfect):
+    # what the per-state classifier says a search reports (perfect maps masks to the pair
+    # they are perfect for): the hits in counter order and the counter position at the
+    # limit, or the error of a bound of max_states states of the weight P * c / (b + c)
+    # that runs out before the limit is met
+    p = spec.modulus
+    found = sorted(mask for mask, pair in perfect.items() if pair == (b, c))
+    stop = None  # the first state of the weight class past the bound
+    if max_states is not None and p * c % (b + c) == 0:
+        weight_class = _weight_class(p, p * c // (b + c))
+        if max_states < len(weight_class):
+            stop = weight_class[max_states]
+    if limit is not None and len(found) >= limit and (stop is None or found[limit - 1] < stop):
+        return found[:limit], found[limit - 1] + 1 == 2**p, found[limit - 1] + 1
+    if stop is not None:
+        return ("classified %d states and reached counter position %d of 2^%d;"
+                " raise max_states to go further" % (max_states, stop, p))
+    return found, True, 2**p
+
+
+def _searched(spec, b, c, limit, max_states=2**oracle.MAX_EXHAUSTIVE_ORDER):
+    try:
+        report = search_colorings(spec, b, c, limit, max_states)
+    except SearchSpaceTooLarge as exc:
+        return str(exc)
+    return [_mask_of(col.colors) for col in report.found], report.exhausted, report.states_examined
+
+
+def _widths(p):
+    # blocks of 1 and 3 bits and of P - 1 bits (two blocks); the other tests run the
+    # module's own width, one block of 2^P states when P is at most that
+    return sorted({1, 3, max(p - 1, 1)})
 
 
 def test_search_colorings_matches_full_sweep():
@@ -330,15 +355,12 @@ def test_search_colorings_matches_full_sweep():
         specs.append(CirculantSpec(p, tuple(rng.randrange(2 * p) for _ in range(rng.randrange(1, 4)))))
     hits = stopped = 0
     for spec in specs:
-        classified = list(oracle._classified(spec, range(2**spec.modulus)))
+        perfect = dict(oracle._classified(spec, range(2**spec.modulus)))
         for b in range(1, 2 * spec.k + 1):
             for c in range(1, 2 * spec.k + 1):
                 for limit in (None, 1, 2, 3):
-                    found, exhausted, examined = _swept(spec, b, c, limit, classified)
-                    report = search_colorings(spec, b, c, limit)
-                    assert [col.colors for col in report.found] == found, (spec, b, c, limit)
-                    assert report.exhausted == exhausted, (spec, b, c, limit)
-                    assert report.states_examined == examined, (spec, b, c, limit)
+                    found, exhausted, examined = _bounded(spec, b, c, limit, None, perfect)
+                    assert _searched(spec, b, c, limit) == (found, exhausted, examined), (spec, b, c, limit)
                     hits += len(found)
                     stopped += not exhausted
     assert hits > 200 and stopped > 20
@@ -348,13 +370,13 @@ def test_search_colorings_indivisible_weight_classifies_nothing(monkeypatch):
     # when P * c is not a multiple of b + c no colouring has a whole number of
     # black vertices, and the full-sweep report comes back without a classified state
     calls = []
-    classify = oracle._classified
+    walk = oracle._walk
 
-    def counting(spec, masks):
-        calls.append(spec)
-        return classify(spec, masks)
+    def counting(rows, target, weight, max_states=None):
+        calls.append(len(rows))
+        return walk(rows, target, weight, max_states)
 
-    monkeypatch.setattr(oracle, "_classified", counting)
+    monkeypatch.setattr(oracle, "_walk", counting)
     for spec, b, c, limit in [(CirculantSpec(30, (1, 2)), 1, 3, 1), (CirculantSpec(10, (1, 2)), 1, 2, None),
                               (CirculantSpec(9, (1,)), 1, 1, None), (CirculantSpec(40, (1, 2)), 1, 2, 1)]:
         report = search_colorings(spec, b, c, limit)
@@ -387,7 +409,7 @@ def test_search_colorings_max_states_bounds_the_classified_states():
 def test_search_colorings_max_states_with_limit():
     # the first (2, 2) hit is BWBWBWBW, mask 85; the bound counts the weight-4 masks up to it
     spec = CirculantSpec(8, (1, 2))
-    needed = list(oracle._masks_of_weight(8, 4)).index(85) + 1
+    needed = _weight_class(8, 4).index(85) + 1
     report = search_colorings(spec, 2, 2, limit=1, max_states=needed)
     assert report == search_colorings(spec, 2, 2, limit=1)
     assert [col.colors for col in report.found] == ["BWBWBWBW"] and report.states_examined == 86
@@ -399,3 +421,110 @@ def test_search_colorings_max_states_with_limit():
     # an impossible weight classifies nothing, so any bound is met
     report = search_colorings(CirculantSpec(40, (1, 2)), 1, 2, limit=1, max_states=1)
     assert report.exhausted and report.found == ()
+
+
+def test_block_walk_matches_the_classifier_on_every_small_graph(monkeypatch):
+    # every graph with P <= 10 and up to three distances (l and P - l give the same graph)
+    hits = stopped = 0
+    for p in range(1, 11):
+        for k in (1, 2, 3):
+            for distances in itertools.combinations_with_replacement(range(p // 2 + 1), k):
+                spec = CirculantSpec(p, distances)
+                perfect = dict(oracle._classified(spec, range(2**p)))
+                for width in _widths(p):
+                    monkeypatch.setattr(oracle, "BLOCK_BITS", width)
+                    for b in range(1, 2 * k + 1):
+                        for c in range(1, 2 * k + 1):
+                            for limit in (None, 1, 2):
+                                expected = _bounded(spec, b, c, limit, None, perfect)
+                                assert _searched(spec, b, c, limit) == expected, (spec, b, c, limit, width)
+                                hits += len(expected[0])
+                                stopped += not expected[1]
+                    monkeypatch.undo()
+    assert hits > 10000 and stopped > 1000
+
+
+def test_block_walk_matches_the_classifier_on_larger_graphs(monkeypatch):
+    rng = random.Random(47)
+    hits = 0
+    for p in (16, 18, 20):
+        spec = CirculantSpec(p, tuple(rng.sample(range(1, p // 2 + 1), 2)))
+        by_weight = {}
+        for b in range(1, 5):
+            for c in range(1, 5):
+                if p * c % (b + c):
+                    continue
+                w = p * c // (b + c)
+                if w not in by_weight:
+                    by_weight[w] = dict(oracle._classified(spec, _weight_class(p, w)))
+                for width in _widths(p) + [oracle.BLOCK_BITS] if p == 16 else [p - 5, p - 1, oracle.BLOCK_BITS]:
+                    monkeypatch.setattr(oracle, "BLOCK_BITS", width)
+                    for limit in (None, 1, 2):
+                        expected = _bounded(spec, b, c, limit, None, by_weight[w])
+                        assert _searched(spec, b, c, limit) == expected, (spec, b, c, limit, width)
+                        hits += len(expected[0])
+                    monkeypatch.undo()
+    assert hits > 100
+
+
+def test_block_walk_max_states_at_block_boundaries(monkeypatch):
+    # a bound that falls just before, on or just after the first state of a block: the
+    # error names the states classified and the next counter position, and a limit met
+    # within the bound wins over it
+    specs = [CirculantSpec(8, (1, 2)), CirculantSpec(10, (1, 3)), CirculantSpec(9, (0, 0, 2)),
+             CirculantSpec(10, (3,)), CirculantSpec(8, (4, 2, 0)), CirculantSpec(16, (1, 3, 6))]
+    cut = hits = 0
+    for spec in specs:
+        p = spec.modulus
+        for b in range(1, 2 * spec.k + 1):
+            for c in range(1, 2 * spec.k + 1):
+                if p * c % (b + c):
+                    continue
+                weight_class = _weight_class(p, p * c // (b + c))
+                perfect = dict(oracle._classified(spec, weight_class))
+                if p > 10 and (b, c) not in perfect.values():
+                    continue
+                for width in _widths(p) + [oracle.BLOCK_BITS] if p <= 10 else [p - 1, oracle.BLOCK_BITS]:
+                    monkeypatch.setattr(oracle, "BLOCK_BITS", width)
+                    firsts = [i for i in range(1, len(weight_class))
+                              if weight_class[i] >> width != weight_class[i - 1] >> width]
+                    bounds = {i + d for i in firsts + [len(weight_class)] for d in range(-2, 3)}
+                    for max_states in sorted(bound for bound in bounds if bound >= 1):
+                        for limit in (None, 1):
+                            expected = _bounded(spec, b, c, limit, max_states, perfect)
+                            got = _searched(spec, b, c, limit, max_states)
+                            assert got == expected, (spec, b, c, limit, width, max_states)
+                            cut += isinstance(expected, str)
+                            hits += not isinstance(expected, str) and len(expected[0])
+                    monkeypatch.undo()
+    assert cut > 1000 and hits > 1000
+
+
+def test_search_tilings_at_forced_block_widths(monkeypatch):
+    # the walk in blocks of 1, 3 and P - 1 bits against the every-mask filter: weight 0
+    # and weight P, tiles of sum zero with m = 0 (every weight qualifies), negative
+    # centres and colliding values
+    rng = random.Random(59)
+    cases = [(Tile((2, 0, 0, 0)), 0), (Tile((1, 0, 0)), 1), (Tile((1, 1, 0, 0)), 2),
+             (Tile((-1, 0, 0, 0, 0)), -1), (Tile((0,) * 6), 0), (Tile((1, 0, -1, 0, 0)), 0)]
+    for spec, b, c in [(CirculantSpec(8, (1, 1, 4)), 1, 1), (CirculantSpec(10, (5, 8, 9)), 3, 2),
+                       (CirculantSpec(10, (5, 6, 7)), 2, 3)]:
+        cases += [(structured_tile(spec, b, c), m) for m in (-1, 0, 1, c)]
+    for _ in range(40):
+        p = rng.randrange(2, 11)
+        values = [rng.randrange(-2, 3) for _ in range(p)]
+        if rng.random() < 0.4:
+            values[rng.randrange(p)] -= sum(values)
+        cases.append((Tile(tuple(values)), rng.choice([0, 1, 2, -1, sum(values)])))
+    hits = every_weight = 0
+    for u, m in cases:
+        expected = _every_mask_filtered(u, m)
+        for width in _widths(u.modulus):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", width)
+            assert search_tilings(u, m) == expected, (u, m, width)
+        monkeypatch.undo()
+        hits += len(expected)
+        every_weight += sum(u.values) == m == 0 and len({sum(v.values) for v in expected}) > 2
+    assert _every_mask_filtered(Tile((2, 0, 0, 0)), 0) == [Tile((0, 0, 0, 0))]
+    assert _every_mask_filtered(Tile((1, 1, 0, 0)), 2) == [Tile((1, 1, 1, 1))]
+    assert hits > 100 and every_weight >= 3
