@@ -8,9 +8,11 @@ visits every state, one at a time, with a popcount per vertex and
 neighbour layer. A search visits only the states with the one number of
 ones that a counting argument leaves possible, in the same order, in
 blocks of 2^BLOCK_BITS states that share their high bits: one block is
-classified with a few big-int operations per vertex. Every count is a
-direct weighted sum of state bits, with no convolution and no algebra,
-and every hit is confirmed by the naive graph-side or tile-side check.
+classified with a few big-int operations per vertex, since each vertex's
+sum over the low bits is counted once per call into a few bit planes
+over the block's states. Every count is a direct weighted sum of state
+bits, with no convolution and no algebra, and every hit is confirmed by
+the naive graph-side or tile-side check.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ import collections
 import functools
 
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
-from .errors import SearchSpaceTooLarge
+from .errors import InputTooLarge, SearchSpaceTooLarge
 from .record import Record
 from .tiling import Tile, verify_multitiling
 
 MAX_EXHAUSTIVE_ORDER = 24
+# a limited colouring search refuses a larger P before building anything: past it the
+# rows grow with P and a counter position (up to 2^P) would no longer print in decimal
+MAX_LIMITED_ORDER = 2**12
 # a search classifies the 2^BLOCK_BITS states that share their high bits at once; wider
-# blocks cost more per table entry, narrower ones more Python steps, and 11-12 measured
-# fastest both at P 14-16 and for a limited search at P = 40
+# blocks cost more per table entry, narrower ones more Python steps: 10-13 measured level
+# within noise at P 14-16, and 12-13 fastest for a limited search at P = 40
 BLOCK_BITS = 12
 
 
@@ -77,11 +82,16 @@ def search_colorings(
     than that raises SearchSpaceTooLarge, naming the counter position it
     reached. The default lets every search at P <= MAX_EXHAUSTIVE_ORDER
     run in full, since one weight class there has at most C(24, 12) states.
+    Past MAX_LIMITED_ORDER even a limited search raises InputTooLarge,
+    before it builds anything.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
         raise SearchSpaceTooLarge("2^%d states; pass a limit or stay at P <= %d"
                                   % (p, MAX_EXHAUSTIVE_ORDER))
+    if p > MAX_LIMITED_ORDER:
+        raise InputTooLarge("P = %d is above the %d this oracle searches even with a limit"
+                            % (p, MAX_LIMITED_ORDER))
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
     if limit is not None and limit < 1:
@@ -90,11 +100,11 @@ def search_colorings(
         raise ValueError("max_states must be positive")
     if max(b, c) > 2 * spec.k or p * c % (b + c):
         return SearchReport(spec, b, c, (), True, 1 << p)
-    rows = []
-    for g in range(p):
-        row = collections.Counter(spec.neighbors(g))
-        row[g] += b + c - 2 * spec.k
-        rows.append({h: a for h, a in row.items() if a})
+    # vertex g's row is one offset multiset shifted by g: its neighbours g + d and g - d,
+    # and its own bit (offset 0) weighted b + c - 2k
+    offsets = collections.Counter(spec.neighbors(0))
+    offsets[0] += b + c - 2 * spec.k
+    rows = [{(g + d) % p: a for d, a in offsets.items() if a} for g in range(p)]
     found = []
     examined = 1 << p
     for mask in _walk(rows, c, p * c // (b + c), max_states):
@@ -127,8 +137,8 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
         return []
     else:
         weight = p * m // u_sum
-    rows = [{h: u.values[(g - h) % p] for h in range(p) if u.values[(g - h) % p]}
-            for g in range(p)]
+    support = [(d, a) for d, a in enumerate(u.values) if a]
+    rows = [{(g - d) % p: a for d, a in support} for g in range(p)]
     out = []
     for mask in _walk(rows, m, weight):
         v = Tile(tuple((mask >> g) & 1 for g in range(p)))
@@ -138,25 +148,52 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     return out
 
 
-def _sums(weights, full: int, bits: tuple[int, ...]) -> dict[int, int]:
-    """{t: the block states whose bits h, weighted by a, sum to t} for the (h, a) in weights.
+def _planes(row, full: int, bits: tuple[int, ...]) -> tuple[list[int], int]:
+    """The block states' weighted low-bit sums, as bit planes and an offset.
 
-    Each term splits every set in two: the states with bit h clear keep
-    their sum, the states with bit h set (bits[h]) add a to it.
+    For the (h, a) in row the sum over the block's states x is
+    S(x) = sum of a * x_h. Plane j holds the states whose S + offset has
+    bit j set, so the states with S = t are one AND of each plane or its
+    complement. A term adds a's set bits, each one ripple-carry add of
+    the states with bit h set (bits[h]); a negative a adds |a| times the
+    states with bit h clear and moves the offset by |a|.
     """
-    sums = {0: full}
-    for h, a in weights:
-        ones = bits[h]
-        zeros = full ^ ones
-        out: dict[int, int] = {}
-        for t, states in sums.items():
-            keep = states & zeros
-            if keep:
-                out[t] = out.get(t, 0) | keep
-            if keep != states:
-                out[t + a] = out.get(t + a, 0) | states ^ keep
-        sums = out
-    return sums
+    planes: list[int] = []
+    offset = 0
+    for h, a in row:
+        addend = bits[h]
+        if a < 0:
+            addend ^= full
+            offset -= a
+            a = -a
+        i = 0  # the plane a's lowest bit adds into
+        while a:
+            if a & 1:
+                if len(planes) < i:
+                    planes += [0] * (i - len(planes))
+                carry = addend
+                j = i
+                while carry:
+                    if j == len(planes):
+                        planes.append(carry)
+                        break
+                    plane = planes[j]
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                    j += 1
+            a >>= 1
+            i += 1
+    return planes, offset
+
+
+def _level(planes: list[int], full: int, t: int) -> int:
+    """The states whose planes spell t in binary: one AND per plane of it or its complement."""
+    if t < 0 or t >> len(planes):
+        return 0
+    states = full
+    for j, plane in enumerate(planes):
+        states &= plane if t >> j & 1 else full ^ plane
+    return states
 
 
 @functools.cache
@@ -166,8 +203,8 @@ def _block(width: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     # runs of 2^h zeros then 2^h ones
     bits = tuple(((1 << (1 << h)) - 1 << (1 << h)) * (full // ((1 << (2 << h)) - 1))
                  for h in range(width))
-    classes = _sums([(h, 1) for h in range(width)], full, bits)
-    return full, bits, tuple(classes[j] for j in range(width + 1))
+    planes, _ = _planes([(h, 1) for h in range(width)], full, bits)
+    return full, bits, tuple(_level(planes, full, j) for j in range(width + 1))
 
 
 def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_states: int | None = None):
@@ -177,11 +214,13 @@ def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_state
     is None). The walk takes the 2^B masks that share their high bits
     P-1 ... B (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one
     int, and classifies the whole block at once. The low bits' share of
-    a vertex's sum is tabulated once per call, as the set of low parts
-    giving each sum; in a block the high bits add a constant, so the
-    block's masks that satisfy a vertex are one table entry, and each
-    vertex costs a popcount per distinct high weight, a look-up and an
-    AND. The blocks step from one high part to the next whose popcount
+    a vertex's sum is counted once per call into a few bit planes over
+    the block (_planes); in a block the high bits add a constant, so the
+    block's masks that satisfy a vertex are the low parts whose planes
+    spell target minus that constant. Each vertex keeps those sets in a
+    dict local to the call, filled on a first look-up, and costs a
+    block a popcount per distinct high weight, a look-up and an AND.
+    The blocks step from one high part to the next whose popcount
     leaves room for weight ones. With max_states, raises
     SearchSpaceTooLarge after yielding the hits among the first
     max_states masks classified, if there are more to classify.
@@ -195,8 +234,9 @@ def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_state
         for h, a in row.items():
             if h >= width:
                 by_weight[a] = by_weight.get(a, 0) | 1 << (h - width)
-        sums = _sums([(h, a) for h, a in row.items() if h < width], full, bits)
-        vertices.append((tuple(by_weight.items()), {target - t: states for t, states in sums.items()}))
+        planes, offset = _planes([(h, a) for h, a in row.items() if h < width], full, bits)
+        # high total -> the low parts meeting the target with it
+        vertices.append((tuple(by_weight.items()), planes, target + offset, {}))
     blocks = 1 << (p - width)
     classified = 0
     high = 0
@@ -209,7 +249,11 @@ def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_state
                 high += high & -high
                 continue
             if ones + width < weight:  # the next high part with more ones
-                high |= high + 1
+                # set the lowest weight - width - ones bits at once: they are clear, since
+                # the walk gets here only from high = 0 or by a carry out of a high part
+                # with at least weight - width ones, which clears more low bits than the
+                # ones it removes
+                high |= (1 << (weight - width - ones)) - 1
                 continue
             acc = classes[weight - ones]
         base = high << width
@@ -222,11 +266,14 @@ def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_state
                     rest &= rest - 1
                 stop = rest & -rest
                 acc &= stop - 1
-        for groups, table in vertices:
+        for groups, planes, level, table in vertices:
             total = 0
             for a, group in groups:
                 total += a * (high & group).bit_count()
-            acc &= table.get(total, 0)
+            states = table.get(total)
+            if states is None:
+                states = table[total] = _level(planes, full, level - total)
+            acc &= states
             if not acc:
                 break
         while acc:

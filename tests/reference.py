@@ -1,4 +1,4 @@
-"""Plain polynomial helpers that tests compare the library against.
+"""Plain helpers that tests compare the library against.
 
 Coefficients are in ascending degree order, as in IntPolynomial.coeffs.
 """
@@ -25,3 +25,26 @@ def coefficient_sum(a, b):
 def value_at(coeffs, point):
     """f(point), term by term."""
     return sum(cf * point**e for e, cf in enumerate(coeffs))
+
+
+def split_sums(weights, full, bits):
+    """{t: the block states whose bits h, weighted by a, sum to t} for the (h, a) in weights.
+
+    A block state set is an int whose bit x stands for state x; full holds
+    every state and bits[h] the states with bit h set. Each term splits
+    every set in two: the states with bit h clear keep their sum, the
+    states with bit h set add a to it.
+    """
+    sums = {0: full}
+    for h, a in weights:
+        ones = bits[h]
+        zeros = full ^ ones
+        out = {}
+        for t, states in sums.items():
+            keep = states & zeros
+            if keep:
+                out[t] = out.get(t, 0) | keep
+            if keep != states:
+                out[t + a] = out.get(t + a, 0) | states ^ keep
+        sums = out
+    return sums

@@ -4,8 +4,10 @@ import functools
 import inspect
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from reference import split_sums
 
 from cyclotile import oracle
 from cyclotile.coloring import (
@@ -16,7 +18,7 @@ from cyclotile.coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from cyclotile.errors import NotExists, SearchSpaceTooLarge
+from cyclotile.errors import InputTooLarge, NotExists, SearchSpaceTooLarge
 from cyclotile.oracle import (
     census_colorings,
     search_colorings,
@@ -70,6 +72,29 @@ def test_search_colorings_too_large():
     assert [col.colors for col in report.found] == ["BBBBB" + "W" * 20]
     assert report.states_examined == 32
     assert not report.exhausted
+
+
+def test_search_colorings_order_cap():
+    # refused before a row is built: 200 000 rows alone take tens of MB, and 2^P
+    # would not print in decimal
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputTooLarge):
+            search_colorings(CirculantSpec(200000, (1,)), 1, 1, limit=1, max_states=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # above the cap even a search that classifies nothing is refused, since its report
+    # would name the counter position 2^P
+    with pytest.raises(InputTooLarge):
+        search_colorings(CirculantSpec(oracle.MAX_LIMITED_ORDER + 1, (1,)), 1, 2, limit=1)
+    # at the cap every report and every error still prints, within the interpreter's
+    # default limit on int to decimal conversion
+    spec = CirculantSpec(oracle.MAX_LIMITED_ORDER, (1,))
+    assert str(search_colorings(spec, 1, 2, limit=1).states_examined) == str(2**spec.modulus)
+    with pytest.raises(SearchSpaceTooLarge, match="classified 1000 states and reached counter position"):
+        search_colorings(spec, 1, 1, limit=1, max_states=1000)
 
 
 def test_search_colorings_rejects_nonpositive_limit():
@@ -528,3 +553,35 @@ def test_search_tilings_at_forced_block_widths(monkeypatch):
     assert _every_mask_filtered(Tile((2, 0, 0, 0)), 0) == [Tile((0, 0, 0, 0))]
     assert _every_mask_filtered(Tile((1, 1, 0, 0)), 2) == [Tile((1, 1, 1, 1))]
     assert hits > 100 and every_weight >= 3
+
+
+def test_plane_tables_match_the_splitting_reference():
+    # a vertex's low-bit sums as bit planes, read at every sum, against the table that
+    # splits each set of block states by one bit at a time: signed weights, weights up to
+    # ~1000 whose carries grow new planes, repeated bits, and the empty row
+    rng = random.Random(61)
+    cases = 0
+    for width in range(1, 13):
+        full, bits, _ = oracle._block(width)
+        rows = [[], [(h, 1) for h in range(width)], [(h, -1) for h in range(width)],
+                [(0, 1000), (width - 1, -999)], [(0, 3), (0, 5), (0, -8)]]
+        for _ in range(4 if width < 10 else 2):
+            rows.append([(rng.randrange(width), rng.choice([rng.randrange(-3, 4), rng.randrange(-1000, 1001)]))
+                         for _ in range(rng.randrange(1, width + 3))])
+        for row in rows:
+            planes, offset = oracle._planes(row, full, bits)
+            expected = split_sums(row, full, bits)
+            low, high = min(expected), max(expected)
+            for t in range(low - 2, high + 3) if high - low < 300 else list(expected) + [low - 1, high + 1]:
+                assert oracle._level(planes, full, t + offset) == expected.get(t, 0), (width, row, t)
+            cases += 1
+    assert cases > 80
+
+
+def test_block_weight_classes_are_the_popcount_classes():
+    for width in range(1, 13):
+        full, bits, classes = oracle._block(width)
+        states = range(1 << width)
+        assert full == sum(1 << x for x in states)
+        assert bits == tuple(sum(1 << x for x in states if x >> h & 1) for h in range(width))
+        assert classes == tuple(sum(1 << x for x in states if x.bit_count() == j) for j in range(width + 1))
