@@ -47,7 +47,6 @@ _HOME = {
     "cyclotomic_divides": "cyclotomic",
     "divisor_spectrum": "cyclotomic",
     "prime_power_product_at_one": "cyclotomic",
-    "BoundViolated": "errors",
     "CyclotileError": "errors",
     "Inadmissible": "errors",
     "InexactDivision": "errors",
@@ -56,7 +55,6 @@ _HOME = {
     "MultiplicityOutOfRange": "errors",
     "NotExists": "errors",
     "NotPrimePower": "errors",
-    "NotPrimePowerSum": "errors",
     "NotZeroOne": "errors",
     "SearchSpaceTooLarge": "errors",
     "ZeroMask": "errors",

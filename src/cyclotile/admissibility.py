@@ -6,7 +6,9 @@ what makes the per-prime residue constructions below well defined; they
 assemble, via the Chinese remainder theorem plus one lift, a distance
 multiset whose structured mask is divisible by enough prime-power
 cyclotomics. When b + c is itself a prime power the pipeline continues
-all the way to an explicit perfect colouring.
+all the way to an explicit perfect colouring. Only check_admissible tests
+the inequality: when b + c is a prime power, (b+c)/q^t = gcd(b, c) at the
+one prime of N, so it is then the paper's sufficient bound as well.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from .errors import BoundViolated, Inadmissible, InputTooLarge, NotExists, NotPrimePowerSum
+from .errors import Inadmissible, InputTooLarge, NotExists
 from .record import Record
 from .tiling import construct_tiling_prime_power, multitiling_exists
 
@@ -143,8 +145,9 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphCondition
     verdict flags as exact.
 
     This is a view of the c-multitiling test on the structured tile: its
-    mask sum is b + c, and c * pi = 0 (mod b + c) holds exactly when
-    (b+c)/gcd(b, c) divides pi, because c/gcd(b, c) is a unit modulo it.
+    mask sum b + c is nonzero, so pi is also the product of all divisors
+    at 1, and c * pi = 0 (mod b + c) holds exactly when (b+c)/gcd(b, c)
+    divides pi, because c/gcd(b, c) is a unit modulo it.
     """
     if spec.modulus < 2:
         raise ValueError("the graph needs at least 2 vertices")
@@ -156,7 +159,7 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphCondition
         modulus=spec.modulus,
         divisors=tuple(sorted(spectrum.divisors)),
         prime_power_divisors=tuple(sorted(spectrum.prime_power_subset)),
-        divisor_product_at_one=spectrum.divisor_product_at_one(),
+        divisor_product_at_one=verdict.prime_power_product,
         prime_power_product_at_one=verdict.prime_power_product,
         reduced_sum=(b + c) // gcd(b, c),
         passed=verdict.passed,
@@ -226,25 +229,25 @@ def construct_distances(params: ParamTriple) -> ConstructionWitness:
     solution each. Finally the largest distance is lifted by whole
     periods until it clears max q^(t+1), which no congruence notices.
     """
-    witness = _lifted_distances(params)
-    if not check_graph_condition(witness.spec, params.b, params.c).passed:
+    return _checked(_lifted_distances(params))
+
+
+def _checked(witness: ConstructionWitness) -> ConstructionWitness:
+    if not check_graph_condition(witness.spec, witness.params.b, witness.params.c).passed:
         raise AssertionError("constructed distances fail the divisibility condition")
     return witness
 
 
 def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
-    # construct_distances without its closing divisibility check, which
-    # construct_perfect_coloring makes through the tiling construction.
-    if params.k > MAX_DISTANCES:
-        raise InputTooLarge("k = %d distances is above the cap of %d" % (params.k, MAX_DISTANCES))
+    # admissibility comes before the cap, so an inadmissible triple is refused whatever k
     verdict = check_admissible(params)
     if not verdict.admissible:
         raise Inadmissible(verdict)
-    reduced = params.reduced_sum
+    if params.k > MAX_DISTANCES:
+        raise InputTooLarge("k = %d distances is above the cap of %d" % (params.k, MAX_DISTANCES))
     per_prime = _per_prime_residues(params)
-    period = reduced if reduced % 2 else 2 * reduced
-    basis, modulus = crt_basis([pp.modulus for pp in per_prime])  # modulus == period
-    distances = [sum(r * e for r, e in zip(residues, basis)) % modulus
+    basis, period = crt_basis([pp.modulus for pp in per_prime])  # N for odd N, else 2N
+    distances = [sum(r * e for r, e in zip(residues, basis)) % period
                  for residues in zip(*[pp.residues for pp in per_prime])]
     lift_past = max(pp.q ** (pp.t + 1) for pp in per_prime)
     idx = distances.index(max(distances))
@@ -255,20 +258,17 @@ def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
 
 
 def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
-    """Full pipeline for prime-power b + c: distances, 0/1 tiling, colouring.
+    """Full pipeline: distances, and for prime-power b + c a 0/1 tiling and colouring.
 
-    Succeeds exactly when b + c <= 2k + gcd(b, c). The constructed group
-    order is then itself a prime power, so the prime-power tiling
-    construction applies with multiplicity c, and the support of the
-    resulting 0/1 tile coloured black is a perfect colouring.
+    Refuses exactly what construct_distances refuses. When b + c is not a
+    prime power the result is construct_distances(params), no colouring.
+    Otherwise the constructed group order is itself a prime power, so the
+    prime-power tiling construction applies with multiplicity c, and the
+    support of the resulting 0/1 tile coloured black is a perfect colouring.
     """
-    s = params.color_sum
-    if not is_prime_power(s):
-        raise NotPrimePowerSum("b + c = %d is not a prime power" % s)
-    limit = 2 * params.k + gcd(params.b, params.c)
-    if s > limit:
-        raise BoundViolated("b + c = %d exceeds 2k + gcd(b, c) = %d" % (s, limit))
     witness = _lifted_distances(params)
+    if not is_prime_power(params.color_sum):  # admissible, so b + c <= 4k is small
+        return _checked(witness)
     u = structured_tile(witness.spec, params.b, params.c)
     try:
         v = construct_tiling_prime_power(u, params.c)

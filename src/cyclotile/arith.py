@@ -38,7 +38,7 @@ _SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in _factorize(n):
+    for p, e in factorize(n):
         multiples = divs
         for _ in range(e):  # the divisors so far times p, p^2, ..., p^e
             multiples = [d * p for d in multiples]
@@ -52,12 +52,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Raises InputTooLarge for n >= FACTOR_LIMIT, where Miller-Rabin with
     these bases is no longer proven exact.
     """
-    return _factorize(n)
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    # factorize's body; divisors calls it directly so that the benchmark tracer,
-    # which counts calls of factorize, counts only the callers' factorizations
     if n < 1:
         raise ValueError("n must be positive")
     if n >= FACTOR_LIMIT:

@@ -5,6 +5,9 @@ standard output and reserves standard error for diagnostics. Exit code 0
 means the requested check passed or the object was produced, 1 means a
 negative mathematical verdict, 2 means the invocation itself was bad,
 and 3 means an internal invariant failed, which is a bug in cyclotile.
+
+Handlers decide nothing the library decides: `construct` reads admissibility
+and the route from the one construction it calls, `table` from the verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 
 # Each handler imports what it calls, so a cold process loads only the modules
 # its subcommand needs: verifying a colouring never loads the algebra.
-from .errors import CyclotileError, InputTooLarge
+from .errors import CyclotileError, Inadmissible, InputTooLarge
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -67,28 +70,22 @@ def _cmd_params_check(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .admissibility import (
         ParamTriple,
-        check_admissible,
         construct_distances,
         construct_perfect_coloring,
         witness_to_document,
     )
-    from .arith import is_prime_power
 
     params = ParamTriple(args.b, args.c, args.k)
-    verdict = check_admissible(params)
-    if not verdict.admissible:
+    build = construct_distances if args.multitiling_only else construct_perfect_coloring
+    try:
+        witness = build(params)
+    except Inadmissible as exc:
         print("no construction: parameters are inadmissible", file=sys.stderr)
-        _emit(_admissibility_payload(verdict))
+        _emit(_admissibility_payload(exc.verdict))
         return 1
-    if args.multitiling_only or not is_prime_power(params.color_sum):
-        if not args.multitiling_only:
-            print(
-                "b + c = %d is not a prime power; emitting the distance "
-                "certificate without a colouring" % params.color_sum,
-                file=sys.stderr)
-        witness = construct_distances(params)
-    else:
-        witness = construct_perfect_coloring(params)
+    if witness.coloring is None and not args.multitiling_only:
+        print("b + c = %d is not a prime power; emitting the distance "
+              "certificate without a colouring" % params.color_sum, file=sys.stderr)
     _emit(witness_to_document(witness))
     return 0
 
@@ -176,8 +173,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _table_rows(k: int, max_sum: int) -> list[dict]:
-    import math
-
     from .admissibility import ParamTriple, check_admissible
     from .arith import is_prime_power
 
@@ -190,19 +185,19 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
         pp = is_prime_power(s)
         for b in range(1, s):
             c = s - b
-            verdict = check_admissible(ParamTriple(b, c, k))
+            params = ParamTriple(b, c, k)
+            verdict = check_admissible(params)
             worst = verdict.violations[0] if verdict.violations else None
-            constructive = (s <= 2 * k + math.gcd(b, c)) if pp else None
             rows.append({
                 "b": b,
                 "c": c,
                 "k": k,
-                "N": s // math.gcd(b, c),
+                "N": params.reduced_sum,
                 "admissible": verdict.admissible,
                 "violating_q": worst.q if worst else None,
                 "violating_t": worst.t if worst else None,
                 "prime_power_sum": pp,
-                "constructive": constructive,
+                "constructive": verdict.admissible if pp else None,
             })
     return rows
 

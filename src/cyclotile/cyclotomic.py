@@ -132,14 +132,6 @@ class DivisorSpectrum(Record):
                 exponents[e] = exponents.get(e, 0) - a
         return _mobius_series(exponents, self.modulus)
 
-    def divisor_product_at_one(self) -> int:
-        """Value at 1 of the product of the divisors, in closed form.
-
-        Phi_1(1) = 0, Phi_{p^e}(1) = p and Phi_n(1) = 1 for every other n,
-        so no polynomial product is needed.
-        """
-        return 0 if 1 in self.divisors else prime_power_product_at_one(self)
-
 
 def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     """Spectrum of the mask sum of values[e] x^e on the cyclic group of the given order.

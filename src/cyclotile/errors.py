@@ -41,14 +41,6 @@ class Inadmissible(CyclotileError):
         self.verdict = verdict
 
 
-class NotPrimePowerSum(CyclotileError):
-    """b + c is not a prime power, so only a multitiling certificate is available."""
-
-
-class BoundViolated(CyclotileError):
-    """b + c exceeds 2k + gcd(b, c); no perfect colouring exists for any distances."""
-
-
 class SearchSpaceTooLarge(CyclotileError):
     """Exhaustive enumeration was refused because 2^P is out of reach."""
 

@@ -98,7 +98,8 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     spectrum. A mask sum of zero is an automatic fail, never an error, and
     an all-zero tile has no spectrum. This is the only place the spectrum
     of a tile is computed, straight from u.values; callers reuse
-    verdict.spectrum.
+    verdict.spectrum, and verdict.prime_power_product as the value at 1 of
+    the product of all divisors whenever the mask sum is nonzero.
     """
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
@@ -117,16 +118,15 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     The witness tile is R (x^P - 1) / ((x - 1) d), where d is the product
     of the cyclotomic divisors of the mask and the constant multiplier R
     is m * d(1) / masksum. The passing test makes the mask sum nonzero, so
-    x - 1 is not among the divisors, and the quotient is the spectrum's
-    cofactor.
+    x - 1 is not among the divisors, d(1) is the verdict's prime-power
+    product, and the quotient is the spectrum's cofactor.
     """
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    spectrum = verdict.spectrum
-    constant = multiplicity * spectrum.divisor_product_at_one() // verdict.mask_sum
+    constant = multiplicity * verdict.prime_power_product // verdict.mask_sum
     return MultitilingWitness(
-        tile=Tile(tuple(constant * cf for cf in spectrum.cofactor())),
+        tile=Tile(tuple(constant * cf for cf in verdict.spectrum.cofactor())),
         multiplier=IntPolynomial([constant]),
         multiplicity=multiplicity,
     )
@@ -156,16 +156,15 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    spectrum = verdict.spectrum
     base = factors[0][0]
     chosen_places, other_places = [], []  # p^(j-1) for each j, split by Phi_{p^j} dividing
     place = 1
     while place < u.modulus:
-        divides = place * base in spectrum.divisors
+        divides = place * base in verdict.spectrum.divisors
         (chosen_places if divides else other_places).append(place)
         place *= base
     chosen = _digit_set(base, chosen_places)
-    count = multiplicity * spectrum.divisor_product_at_one() // mask_sum
+    count = multiplicity * verdict.prime_power_product // mask_sum
     if count > len(chosen):
         raise AssertionError("the multiplier needs %d of the %d elements of the digit set"
                              % (count, len(chosen)))

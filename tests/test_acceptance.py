@@ -21,7 +21,7 @@ from cyclotile.admissibility import (
 from cyclotile.cli import run
 from cyclotile.coloring import CirculantSpec, is_perfect_coloring, structured_tile, tiling_to_coloring
 from cyclotile.cyclotomic import cyclotomic
-from cyclotile.errors import BoundViolated
+from cyclotile.errors import Inadmissible
 from cyclotile.oracle import census_colorings, search_colorings
 from cyclotile.polyring import IntPolynomial
 from cyclotile.tiling import Tile, construct_tiling_prime_power, verify_multitiling
@@ -90,8 +90,8 @@ def test_acceptance_2_constructive_bound_sweep(capsys, tmp_path):
                 expected = s <= 2 * k + math.gcd(b, c)
                 try:
                     witness = construct_perfect_coloring(ParamTriple(b, c, k))
-                except BoundViolated:
-                    if expected:
+                except Inadmissible as exc:
+                    if expected or exc.verdict.admissible:
                         failures.append(("missing", b, c, k))
                     continue
                 if not expected:

@@ -18,7 +18,7 @@ from cyclotile.admissibility import (
     witness_to_document,
 )
 from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document
-from cyclotile.errors import BoundViolated, Inadmissible, InputTooLarge, NotPrimePowerSum
+from cyclotile.errors import Inadmissible, InputTooLarge
 from cyclotile.oracle import search_colorings
 from cyclotile.tiling import Tile, construct_multitiling, construct_tiling_prime_power
 
@@ -222,15 +222,36 @@ def test_construct_perfect_coloring_examples():
     assert w.spec.distances == (1, 11)
     assert is_perfect_coloring(w.spec, w.coloring)
 
-    with pytest.raises(BoundViolated):
+    with pytest.raises(Inadmissible) as exc:
         construct_perfect_coloring(ParamTriple(4, 3, 2))
+    assert exc.value.verdict == check_admissible(ParamTriple(4, 3, 2))
 
 
-def test_construct_perfect_coloring_rejects_non_prime_power_sum():
-    with pytest.raises(NotPrimePowerSum):
-        construct_perfect_coloring(ParamTriple(5, 7, 6))
-    with pytest.raises(NotPrimePowerSum):
-        construct_perfect_coloring(ParamTriple(3, 3, 3))
+def test_construct_perfect_coloring_on_a_non_prime_power_sum_is_the_distance_certificate():
+    for params in (ParamTriple(5, 7, 6), ParamTriple(3, 3, 3)):
+        w = construct_perfect_coloring(params)
+        assert w.coloring is None
+        assert w == construct_distances(params)
+
+
+def test_admissibility_is_the_gcd_bound_on_prime_power_sums():
+    # for b + c = q^t the inequality at the one prime of N is the paper's
+    # sufficient bound b + c <= 2k + gcd(b, c), written out here on its own
+    checked = 0
+    for s in range(2, 448):
+        p = next(d for d in range(2, s + 1) if s % d == 0)  # the least prime of s
+        rest = s
+        while rest % p == 0:
+            rest //= p
+        if rest != 1:
+            continue
+        for b in range(1, s):
+            c = s - b
+            for k in range(1, 13):
+                verdict = check_admissible(ParamTriple(b, c, k))
+                assert verdict.admissible == (s <= 2 * k + math.gcd(b, c)), (b, c, k)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_construction_refuses_too_many_distances():
@@ -255,7 +276,8 @@ def test_theorem_bound_equivalence_small():
                 expected = s <= 2 * k + math.gcd(b, c)
                 try:
                     w = construct_perfect_coloring(params)
-                except BoundViolated:
+                except Inadmissible as exc:
+                    assert exc.verdict == check_admissible(params)
                     assert not expected, (b, c, k)
                 else:
                     assert expected, (b, c, k)

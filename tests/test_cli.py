@@ -313,6 +313,17 @@ def test_construct_with_a_large_prime_sum(capsys):
     assert "above the cap of 100000" in err
 
 
+def test_construct_decides_admissibility_before_the_distance_cap(capsys):
+    # b + c = 2^18 exceeds 2k + gcd(b, c) = 200003, so no k makes the cap matter
+    code, out, err = invoke(capsys, "construct", "--b", "1", "--c", "262143", "--k", "100001")
+    assert code == 1
+    assert json.loads(out) == {
+        "admissible": False,
+        "violations": [{"q": 2, "t": 18, "bound": 200003}],
+    }
+    assert err == "no construction: parameters are inadmissible\n"
+
+
 def test_params_check_beyond_the_factorization_limit(capsys):
     code, out, err = invoke(
         capsys, "params", "check", "--b", "1", "--c", "3317044064679887385961980", "--k", "3")

@@ -165,6 +165,8 @@ def test_full_and_prime_power_products_agree_at_one():
 
 
 def test_divisor_product_at_one_closed_form():
+    # the divisor product at 1 is 0 exactly when the mask sums to 0 (Phi_1
+    # divides), and otherwise the prime-power closed form
     rng = random.Random(33)
     zero_sum = 0
     for i in range(300):
@@ -176,8 +178,10 @@ def test_divisor_product_at_one_closed_form():
             continue
         spec = divisor_spectrum(values, p)
         zero_sum += 1 in spec.divisors
+        assert (1 in spec.divisors) == (sum(values) == 0), values
+        closed_form = 0 if 1 in spec.divisors else prime_power_product_at_one(spec)
         product = product_of_cyclotomics(spec.divisors)
-        assert spec.divisor_product_at_one() == sum(product.coeffs), values
+        assert closed_form == sum(product.coeffs), values
     assert zero_sum > 50
 
 
