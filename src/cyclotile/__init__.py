@@ -30,7 +30,6 @@ _HOME = {
     "divisors": "arith",
     "factorize": "arith",
     "is_prime_power": "arith",
-    "prime_power_base": "arith",
     "BLACK": "coloring",
     "WHITE": "coloring",
     "CirculantSpec": "coloring",
@@ -46,7 +45,6 @@ _HOME = {
     "cyclotomic": "cyclotomic",
     "cyclotomic_divides": "cyclotomic",
     "divisor_spectrum": "cyclotomic",
-    "prime_power_product_at_one": "cyclotomic",
     "CyclotileError": "errors",
     "Inadmissible": "errors",
     "InexactDivision": "errors",

@@ -24,6 +24,7 @@ from .coloring import (
     structured_tile,
     tiling_to_coloring,
 )
+from .cyclotomic import DivisorSpectrum
 from .errors import Inadmissible, InputTooLarge, NotExists
 from .record import Record
 from .tiling import construct_tiling_prime_power, multitiling_exists
@@ -79,17 +80,10 @@ class AdmissibilityVerdict(Record):
 class GraphConditionVerdict(Record):
     """Outcome of the divisibility condition on the structured mask's spectrum."""
 
-    __slots__ = ("modulus", "divisors", "prime_power_divisors", "divisor_product_at_one",
-                 "prime_power_product_at_one", "reduced_sum", "passed", "exact")
+    __slots__ = ("spectrum", "reduced_sum", "passed", "exact")
 
-    def __init__(self, modulus: int, divisors: tuple[int, ...],
-                 prime_power_divisors: tuple[int, ...], divisor_product_at_one: int,
-                 prime_power_product_at_one: int, reduced_sum: int, passed: bool, exact: bool):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "prime_power_divisors", prime_power_divisors)
-        object.__setattr__(self, "divisor_product_at_one", divisor_product_at_one)
-        object.__setattr__(self, "prime_power_product_at_one", prime_power_product_at_one)
+    def __init__(self, spectrum: DivisorSpectrum, reduced_sum: int, passed: bool, exact: bool):
+        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "reduced_sum", reduced_sum)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "exact", exact)
@@ -139,8 +133,8 @@ def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:
 def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphConditionVerdict:
     """Necessary condition for a (b, c)-perfect colouring of the graph.
 
-    Passes iff the prime-power part of the structured mask's cyclotomic
-    spectrum, evaluated at 1, is divisible by (b+c)/gcd(b, c). On a
+    Passes iff pi, the structured mask's spectrum.prime_power_product, is
+    divisible by (b+c)/gcd(b, c); the verdict holds that spectrum. On a
     prime-power group order the condition is also sufficient, which the
     verdict flags as exact.
 
@@ -154,13 +148,8 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphCondition
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
     verdict = multitiling_exists(structured_tile(spec, b, c), c)
-    spectrum = verdict.spectrum
     return GraphConditionVerdict(
-        modulus=spec.modulus,
-        divisors=tuple(sorted(spectrum.divisors)),
-        prime_power_divisors=tuple(sorted(spectrum.prime_power_subset)),
-        divisor_product_at_one=verdict.prime_power_product,
-        prime_power_product_at_one=verdict.prime_power_product,
+        spectrum=verdict.spectrum,
         reduced_sum=(b + c) // gcd(b, c),
         passed=verdict.passed,
         exact=is_prime_power(spec.modulus),

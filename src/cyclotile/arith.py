@@ -152,14 +152,6 @@ def is_prime_power(n: int) -> bool:
     return n >= 2 and len(factorize(n)) == 1
 
 
-def prime_power_base(n: int) -> int:
-    """The prime p with n = p^e, for prime-power n."""
-    fac = factorize(n)
-    if n < 2 or len(fac) != 1:
-        raise ValueError("%d is not a prime power" % n)
-    return fac[0][0]
-
-
 def crt_basis(moduli: list[int]) -> tuple[list[int], int]:
     """The CRT basis e_i of pairwise coprime m_i, and their product M.
 

@@ -115,7 +115,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "b": b,
         "c": c,
         "N": verdict.reduced_sum,
-        "prime_power_product_at_one": verdict.prime_power_product_at_one,
+        "prime_power_product_at_one": verdict.spectrum.prime_power_product,
         "passes": verdict.passed,
         "exact": verdict.exact,
     })
@@ -156,15 +156,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
     spec = CirculantSpec(args.P, args.distances)
     verdict = check_graph_condition(spec, args.b, args.c)
+    spectrum = verdict.spectrum  # a tile summing to b + c > 0 has no Phi_1: both products agree
     _emit({
         "P": spec.modulus,
         "distances": list(spec.distances),
         "b": args.b,
         "c": args.c,
-        "divisors": sorted(verdict.divisors),
-        "prime_power_divisors": sorted(verdict.prime_power_divisors),
-        "divisor_product_at_one": verdict.divisor_product_at_one,
-        "prime_power_product_at_one": verdict.prime_power_product_at_one,
+        "divisors": sorted(spectrum.divisors),
+        "prime_power_divisors": sorted(spectrum.prime_power_subset),
+        "divisor_product_at_one": spectrum.prime_power_product,
+        "prime_power_product_at_one": spectrum.prime_power_product,
         "N": verdict.reduced_sum,
         "passes": verdict.passed,
         "exact": verdict.exact,
@@ -292,7 +293,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json nested too deeply
         print("cannot read input: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, CyclotileError) as exc:

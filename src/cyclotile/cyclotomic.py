@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from operator import add, sub
 
-from .arith import factorize, prime_power_base
+from .arith import factorize
 from .errors import InputTooLarge, ZeroMask
 from .polyring import IntPolynomial, poly_divmod
 from .record import Record
@@ -107,15 +107,20 @@ def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
 
 
 class DivisorSpectrum(Record):
-    """Which cyclotomic polynomials with index dividing P divide a given mask."""
+    """Which cyclotomic polynomials with index dividing P divide a given mask.
 
-    __slots__ = ("modulus", "divisors", "prime_power_subset")
+    prime_power_product, the value at 1 of the prime-power part, is the
+    product of p over each Phi_{p^j} in it.
+    """
+
+    __slots__ = ("modulus", "divisors", "prime_power_subset", "prime_power_product")
 
     def __init__(self, modulus: int, divisors: frozenset[int],
-                 prime_power_subset: frozenset[int]):
+                 prime_power_subset: frozenset[int], prime_power_product: int):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "prime_power_subset", prime_power_subset)
+        object.__setattr__(self, "prime_power_product", prime_power_product)
 
     def cofactor(self) -> list[int]:
         """(x^P - 1) / ((x - 1) d) as its P coefficients, d the product of the divisors.
@@ -147,7 +152,8 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     P out in ascending order reaches every divisor exactly once, so the
     work is at most sigma(P) times one more than the number of primes of
     P coefficient operations, and the folds kept at any time hold at
-    most about 2P coefficients.
+    most about 2P coefficients. The walk knows the primes of each n, so it
+    multiplies up the prime-power product with no factorization per divisor.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -157,7 +163,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
     primes = [p for p, _ in factorize(modulus)]
-    hits, prime_powers = [], []
+    hits, prime_powers, product = [], [], 1
     # (n, the fold that n's fold is added up from, index of the last prime divided out)
     pending = [(modulus, top, 0)]
     while pending:
@@ -168,6 +174,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
             hits.append(n)
             if len(own) == 1:
                 prime_powers.append(n)
+                product *= own[0]
         # divide out primes from the last one divided out onwards, never an earlier one
         pending.extend((n // primes[i], fold, i)
                        for i in range(first, len(primes)) if n % primes[i] == 0)
@@ -175,6 +182,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
         modulus=modulus,
         divisors=frozenset(hits),
         prime_power_subset=frozenset(prime_powers),
+        prime_power_product=product,
     )
 
 
@@ -204,15 +212,3 @@ def _vanishes_at_primitive_roots(fold: list[int], primes: list[int]) -> bool:
         shift = n // p
         fold = list(map(sub, fold[-shift:] + fold[:-shift], fold))
     return not any(fold)
-
-
-def prime_power_product_at_one(spectrum: DivisorSpectrum) -> int:
-    """Value at 1 of the product over the prime-power part of the spectrum.
-
-    Each cyclotomic polynomial with prime-power index p^e contributes p;
-    an empty subset gives 1.
-    """
-    value = 1
-    for n in spectrum.prime_power_subset:
-        value *= prime_power_base(n)
-    return value

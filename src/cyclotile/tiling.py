@@ -14,11 +14,7 @@ the 0/1 prime-power one is a sum of two digit sets.
 from __future__ import annotations
 
 from .arith import factorize
-from .cyclotomic import (
-    DivisorSpectrum,
-    divisor_spectrum,
-    prime_power_product_at_one,
-)
+from .cyclotomic import DivisorSpectrum, divisor_spectrum
 from .errors import (
     ModulusMismatch,
     MultiplicityOutOfRange,
@@ -51,14 +47,13 @@ class ExistenceVerdict(Record):
     spectrum is the divisor spectrum of the mask, None only for a zero mask.
     """
 
-    __slots__ = ("passed", "multiplicity", "mask_sum", "prime_power_product", "spectrum")
+    __slots__ = ("passed", "multiplicity", "mask_sum", "spectrum")
 
     def __init__(self, passed: bool, multiplicity: int, mask_sum: int,
-                 prime_power_product: int | None, spectrum: DivisorSpectrum | None):
+                 spectrum: DivisorSpectrum | None):
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "mask_sum", mask_sum)
-        object.__setattr__(self, "prime_power_product", prime_power_product)
         object.__setattr__(self, "spectrum", spectrum)
 
     def __bool__(self) -> bool:
@@ -94,22 +89,21 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     """Decide whether any m-multitiling with tile u exists.
 
     The test is: the mask sum, the sum of u's values, must be nonzero and
-    must divide m times the value at 1 of the prime-power part of the
-    spectrum. A mask sum of zero is an automatic fail, never an error, and
-    an all-zero tile has no spectrum. This is the only place the spectrum
-    of a tile is computed, straight from u.values; callers reuse
-    verdict.spectrum, and verdict.prime_power_product as the value at 1 of
-    the product of all divisors whenever the mask sum is nonzero.
+    must divide m times the spectrum's prime_power_product, the value at 1
+    of its prime-power part. A mask sum of zero is an automatic fail, never
+    an error, and an all-zero tile has no spectrum. This is the only place
+    the spectrum of a tile is computed, straight from u.values; callers
+    reuse verdict.spectrum, and its prime_power_product as the value at 1
+    of the product of all divisors whenever the mask sum is nonzero.
     """
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
     if not any(u.values):
-        return ExistenceVerdict(False, multiplicity, 0, None, None)
+        return ExistenceVerdict(False, multiplicity, 0, None)
     mask_sum = sum(u.values)
     spectrum = divisor_spectrum(u.values, u.modulus)
-    product = prime_power_product_at_one(spectrum)
-    passed = mask_sum != 0 and (multiplicity * product) % mask_sum == 0
-    return ExistenceVerdict(passed, multiplicity, mask_sum, product, spectrum)
+    passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
+    return ExistenceVerdict(passed, multiplicity, mask_sum, spectrum)
 
 
 def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
@@ -118,13 +112,13 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     The witness tile is R (x^P - 1) / ((x - 1) d), where d is the product
     of the cyclotomic divisors of the mask and the constant multiplier R
     is m * d(1) / masksum. The passing test makes the mask sum nonzero, so
-    x - 1 is not among the divisors, d(1) is the verdict's prime-power
+    x - 1 is not among the divisors, d(1) is the spectrum's prime-power
     product, and the quotient is the spectrum's cofactor.
     """
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    constant = multiplicity * verdict.prime_power_product // verdict.mask_sum
+    constant = multiplicity * verdict.spectrum.prime_power_product // verdict.mask_sum
     return MultitilingWitness(
         tile=Tile(tuple(constant * cf for cf in verdict.spectrum.cofactor())),
         multiplier=IntPolynomial([constant]),
@@ -164,7 +158,7 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
         (chosen_places if divides else other_places).append(place)
         place *= base
     chosen = _digit_set(base, chosen_places)
-    count = multiplicity * verdict.prime_power_product // mask_sum
+    count = multiplicity * verdict.spectrum.prime_power_product // mask_sum
     if count > len(chosen):
         raise AssertionError("the multiplier needs %d of the %d elements of the digit set"
                              % (count, len(chosen)))

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -87,12 +88,12 @@ def test_violations_record_maximal_t_only():
 def test_graph_condition_examples():
     verdict = check_graph_condition(CirculantSpec(4, (1,)), 1, 1)
     assert verdict.passed and verdict.exact
-    assert verdict.prime_power_product_at_one == 2
+    assert verdict.spectrum.prime_power_product == 2
     assert verdict.reduced_sum == 2
 
     verdict = check_graph_condition(CirculantSpec(3, (1,)), 1, 1)
     assert not verdict.passed
-    assert verdict.prime_power_product_at_one == 1
+    assert verdict.spectrum.prime_power_product == 1
 
     verdict = check_graph_condition(CirculantSpec(4, (5,)), 1, 1)
     assert verdict.passed and verdict.exact
@@ -108,8 +109,31 @@ def test_graph_condition_is_divisibility_by_reduced_sum():
         b, c = rng.randrange(1, 9), rng.randrange(1, 9)
         verdict = check_graph_condition(CirculantSpec(p, distances), b, c)
         assert verdict.reduced_sum == (b + c) // math.gcd(b, c)
-        assert verdict.passed == (verdict.prime_power_product_at_one % verdict.reduced_sum == 0)
-        assert verdict.divisor_product_at_one == verdict.prime_power_product_at_one
+        spectrum = verdict.spectrum
+        assert verdict.passed == (spectrum.prime_power_product % verdict.reduced_sum == 0)
+        # the tile sums to b + c > 0, so the product of all divisors at 1 is the prime-power one
+        assert spectrum.modulus == p and 1 not in spectrum.divisors
+
+
+@pytest.mark.parametrize("triple", [(1, 255, 128), (3, 7, 6), (2, 10, 7)])
+def test_a_construction_factorizes_a_few_numbers_only(monkeypatch, triple):
+    # the spectrum walk multiplies in the prime of each prime-power divisor it accepts, so
+    # nothing is factorized per divisor. Each module binds factorize itself, and the name
+    # cyclotile.cyclotomic is the function, so the modules are reached through sys.modules.
+    original = sys.modules["cyclotile.arith"].factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.startswith("cyclotile.") and getattr(module, "factorize", None) is original]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "factorize", counting)
+    assert "cyclotile.cyclotomic" in patched and "cyclotile.admissibility" in patched
+    construct_perfect_coloring(ParamTriple(*triple))
+    assert len(calls) <= 5, calls
 
 
 def test_graph_condition_huge_distance():

@@ -10,7 +10,6 @@ from cyclotile.arith import (
     divisors,
     factorize,
     is_prime_power,
-    prime_power_base,
 )
 from cyclotile.errors import InputTooLarge
 
@@ -64,16 +63,6 @@ def test_is_prime_power():
     assert is_prime_power(2 ** 10)
     assert is_prime_power(3 ** 7)
     assert not is_prime_power(36)
-
-
-def test_prime_power_base():
-    assert prime_power_base(8) == 2
-    assert prime_power_base(27) == 3
-    assert prime_power_base(13) == 13
-    with pytest.raises(ValueError):
-        prime_power_base(12)
-    with pytest.raises(ValueError):
-        prime_power_base(1)
 
 
 def test_crt_pairs():

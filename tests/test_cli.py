@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -123,6 +124,15 @@ def test_verify_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = invoke(capsys, "verify", str(path))
     assert code == 2
+
+
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    # the decoder's recursion limit makes the document unreadable, not a negative verdict
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot read input: ") and err.count("\n") == 1
 
 
 def test_verify_malformed_document(tmp_path, capsys):
@@ -429,3 +439,60 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def readme_examples():
+    """(command line, the text shown below it) for each example in README's CLI block."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"),
+              encoding="utf-8") as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```\n")[1]
+    examples = []
+    for chunk in block.strip("\n").split("\n\n"):
+        line, *shown = chunk.split("\n")
+        assert line.startswith("$ cyclotile "), line
+        examples.append((line[2:], "".join(text + "\n" for text in shown)))
+    return examples
+
+
+def shown_by(capsys, line):
+    """What a terminal shows for one README line, its redirect, && and pipe reproduced.
+
+    A line without `echo $?` shows no exit code, so only its output is compared; the
+    `> file && ...` line shows that its first command exited 0, and `| head -4` shows
+    only the first four lines, so the exit code of the table there goes unchecked.
+    """
+    if " > " in line:
+        first, rest = line.split(" > ")
+        name, second = rest.split(" && ")
+        code, out, err = shell_invoke(capsys, first)
+        assert code == 0 and err == "", line
+        with open(name, "w", encoding="utf-8") as handle:
+            handle.write(out)
+        return shown_by(capsys, second)
+    if line.endswith("; echo $?"):
+        code, out, err = shell_invoke(capsys, line[:-len("; echo $?")])
+        return err + out + "%d\n" % code
+    if " | head -" in line:
+        command, count = line.split(" | head -")
+        _, out, err = shell_invoke(capsys, command)
+        return err + "".join(out.splitlines(keepends=True)[:int(count)])
+    _, out, err = shell_invoke(capsys, line)
+    return err + out
+
+
+def shell_invoke(capsys, command):
+    program, *argv = shlex.split(command)
+    assert program == "cyclotile"
+    code, out, err = invoke(capsys, *argv)
+    assert not (out and err), "a line that writes both streams has no one order on a terminal"
+    return code, out, err
+
+
+README_EXAMPLES = readme_examples()
+README_IDS = ["%d-%s" % (i, line.split()[1]) for i, (line, _) in enumerate(README_EXAMPLES)]
+
+
+@pytest.mark.parametrize("line, shown", README_EXAMPLES, ids=README_IDS)
+def test_readme_cli_example(line, shown, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where the example's cert.json is written
+    assert shown_by(capsys, line) == shown

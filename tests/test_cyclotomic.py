@@ -6,13 +6,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cyclotile.arith import is_prime_power
-from cyclotile.cyclotomic import (
-    cyclotomic,
-    cyclotomic_divides,
-    divisor_spectrum,
-    prime_power_product_at_one,
-)
+from cyclotile.arith import factorize, is_prime_power
+from cyclotile.cyclotomic import cyclotomic, cyclotomic_divides, divisor_spectrum
 from cyclotile.errors import ZeroMask
 from cyclotile.polyring import IntPolynomial, poly_divmod
 from reference import cyclic_fold
@@ -124,7 +119,7 @@ def test_spectrum_full_mask():
 def test_spectrum_unit():
     spec = divisor_spectrum([1], 12)
     assert spec.divisors == frozenset()
-    assert prime_power_product_at_one(spec) == 1
+    assert spec.prime_power_product == 1
 
 
 def test_spectrum_zero_mask():
@@ -143,9 +138,9 @@ def test_spectrum_contains_one_iff_root_at_one():
 
 def test_product_at_one_values():
     spec = divisor_spectrum([1, 1, 1, 1], 4)
-    assert prime_power_product_at_one(spec) == 4
+    assert spec.prime_power_product == 4
     spec2 = divisor_spectrum([1, 0, 1], 4)
-    assert prime_power_product_at_one(spec2) == 2
+    assert spec2.prime_power_product == 2
 
 
 def test_full_and_prime_power_products_agree_at_one():
@@ -161,7 +156,7 @@ def test_full_and_prime_power_products_agree_at_one():
         spec = divisor_spectrum(values, p)
         if 1 in spec.divisors:
             continue
-        assert sum(product_of_cyclotomics(spec.divisors).coeffs) == prime_power_product_at_one(spec)
+        assert sum(product_of_cyclotomics(spec.divisors).coeffs) == spec.prime_power_product
 
 
 def test_divisor_product_at_one_closed_form():
@@ -179,10 +174,65 @@ def test_divisor_product_at_one_closed_form():
         spec = divisor_spectrum(values, p)
         zero_sum += 1 in spec.divisors
         assert (1 in spec.divisors) == (sum(values) == 0), values
-        closed_form = 0 if 1 in spec.divisors else prime_power_product_at_one(spec)
+        closed_form = 0 if 1 in spec.divisors else spec.prime_power_product
         product = product_of_cyclotomics(spec.divisors)
         assert closed_form == sum(product.coeffs), values
     assert zero_sum > 50
+
+
+def _cyclic_shift(values, s):
+    """values times x^s modulo x^P - 1, P = len(values)."""
+    s %= len(values)
+    return values[-s:] + values[:-s]
+
+
+def _blocked_mask(rng, p):
+    """A small random mask times two blocks 1 + x^q + ... + x^((b - 1) q), bq | P, mod x^P - 1."""
+    values = [0] * p
+    for e in range(4):
+        values[e % p] += rng.randrange(0, 3)
+    values[0] += 1
+    for _ in range(2):
+        sizes = [b for b in range(2, 17) if p % b == 0]
+        if not sizes:
+            break
+        b = rng.choice(sizes)
+        q = rng.choice([q for q in range(1, p // b + 1) if p // b % q == 0])
+        copies = [_cyclic_shift(values, i * q) for i in range(b)]
+        values = [sum(column) for column in zip(*copies)]
+    return values
+
+
+def _zero_sum(rng, values, how):
+    """values made to sum to 0: the last value absorbs the sum, or times 1 - x^s."""
+    if how == 0:
+        return values[:-1] + [values[-1] - sum(values)]
+    shifted = _cyclic_shift(values, rng.randrange(1, len(values) + 1))
+    return [a - b for a, b in zip(values, shifted)]
+
+
+def test_walk_product_is_the_product_of_the_primes():
+    # the walk multiplies in p for each Phi_{p^j} it accepts; here each p comes from factorize
+    rng = random.Random(47)
+    cases = []
+    for i in range(240):
+        p = rng.randrange(1, 61)
+        values = _blocked_mask(rng, p) if i % 2 else [rng.randrange(-2, 3) for _ in range(p)]
+        cases.append((p, values if i % 3 == 0 else _zero_sum(rng, values, i % 3 - 1)))
+    for p in (720720, 2**19):
+        values = _blocked_mask(rng, p)
+        cases += [(p, values), (p, _zero_sum(rng, values, 1))]
+    nontrivial = set()
+    for p, values in cases:
+        if not any(values):
+            continue
+        spec = divisor_spectrum(values, p)
+        assert spec.prime_power_subset == {n for n in spec.divisors if len(factorize(n)) == 1}
+        primes = [factorize(n)[0][0] for n in spec.prime_power_subset]
+        assert spec.prime_power_product == math.prod(primes), (p, sorted(spec.divisors))
+        if spec.prime_power_product > 1:
+            nontrivial.add((p > 60, sum(values) == 0))
+    assert nontrivial == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_cyclotomic_matches_sympy():

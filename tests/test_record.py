@@ -22,7 +22,7 @@ from cyclotile import (
     Violation,
 )
 
-SPECTRUM = DivisorSpectrum(12, frozenset({3, 4, 12}), frozenset({3, 4}))
+SPECTRUM = DivisorSpectrum(12, frozenset({3, 4, 12}), frozenset({3, 4}), 6)
 
 # every value type with keyword arguments in constructor order, already in canonical form;
 # the fields of one value differ from each other, so that two swapped fields show
@@ -31,17 +31,14 @@ CASES = [
     (CirculantSpec, dict(modulus=8, distances=(1, 1, 10))),
     (Coloring, dict(colors="BBBWBBBW", b=2, c=6)),
     (Tile, dict(values=(1, 0, -2))),
-    (ExistenceVerdict, dict(passed=True, multiplicity=6, mask_sum=8,
-                            prime_power_product=4, spectrum=SPECTRUM)),
+    (ExistenceVerdict, dict(passed=True, multiplicity=6, mask_sum=8, spectrum=SPECTRUM)),
     (MultitilingWitness, dict(tile=Tile((1, 1)), multiplier=IntPolynomial([1]), multiplicity=1)),
     (DivisorSpectrum, dict(modulus=12, divisors=frozenset({3, 4, 12}),
-                           prime_power_subset=frozenset({3, 4}))),
+                           prime_power_subset=frozenset({3, 4}), prime_power_product=6)),
     (ParamTriple, dict(b=2, c=6, k=3)),
     (Violation, dict(q=2, t=3, bound=5)),
     (AdmissibilityVerdict, dict(admissible=False, violations=(Violation(2, 3, 5),))),
-    (GraphConditionVerdict, dict(modulus=12, divisors=(1, 3, 4), prime_power_divisors=(3, 4),
-                                 divisor_product_at_one=0, prime_power_product_at_one=6,
-                                 reduced_sum=2, passed=True, exact=False)),
+    (GraphConditionVerdict, dict(spectrum=SPECTRUM, reduced_sum=2, passed=True, exact=False)),
     (PerPrimeResidues, dict(q=2, t=3, modulus=16, residues=(1, 1, 2))),
     (ConstructionWitness, dict(params=ParamTriple(2, 6, 3), spec=CirculantSpec(8, (1, 1, 10)),
                                per_prime_residues=(PerPrimeResidues(2, 2, 8, (1, 1, 2)),),

@@ -56,7 +56,7 @@ def test_exists_examples():
     verdict = multitiling_exists(Tile((1, 0, 1, 0)), 1)
     assert verdict.passed
     assert verdict.mask_sum == 2
-    assert verdict.prime_power_product == 2
+    assert verdict.spectrum.prime_power_product == 2
 
     # coefficient sum zero can never tile
     for m in (1, 2, -3, 7):
@@ -266,7 +266,7 @@ def _block_tile(rng, p):
 def _least_multiplicity(u):
     """The least m > 0 that passes the existence test for a tile with a positive mask sum."""
     mask_sum = sum(u.values)
-    return mask_sum // math.gcd(mask_sum, multitiling_exists(u, mask_sum).prime_power_product)
+    return mask_sum // math.gcd(mask_sum, multitiling_exists(u, mask_sum).spectrum.prime_power_product)
 
 
 def test_multitiling_witness_matches_division():
