@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import crt_basis, factorize, is_prime_power
+from .arith import crt_basis, factorize
 from .coloring import (
     CirculantSpec,
     Coloring,
@@ -67,11 +67,18 @@ class Violation(Record):
 
 
 class AdmissibilityVerdict(Record):
-    __slots__ = ("admissible", "violations")
+    """The prime powers (q, t) of N = (b+c)/gcd(b, c), ascending, and the failed ones."""
 
-    def __init__(self, admissible: bool, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "admissible", admissible)
+    __slots__ = ("prime_powers", "violations")
+
+    def __init__(self, prime_powers: tuple[tuple[int, int], ...],
+                 violations: tuple[Violation, ...]):
+        object.__setattr__(self, "prime_powers", prime_powers)
         object.__setattr__(self, "violations", violations)
+
+    @property
+    def admissible(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.admissible
@@ -80,13 +87,16 @@ class AdmissibilityVerdict(Record):
 class GraphConditionVerdict(Record):
     """Outcome of the divisibility condition on the structured mask's spectrum."""
 
-    __slots__ = ("spectrum", "reduced_sum", "passed", "exact")
+    __slots__ = ("spectrum", "reduced_sum", "passed")
 
-    def __init__(self, spectrum: DivisorSpectrum, reduced_sum: int, passed: bool, exact: bool):
+    def __init__(self, spectrum: DivisorSpectrum, reduced_sum: int, passed: bool):
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "reduced_sum", reduced_sum)
         object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "exact", exact)
+
+    @property
+    def exact(self) -> bool:
+        return len(self.spectrum.primes) == 1
 
     def __bool__(self) -> bool:
         return self.passed
@@ -122,12 +132,13 @@ def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:
     loosest at smaller exponents, so those are implied.
     """
     s = params.color_sum
+    prime_powers = tuple(factorize(params.reduced_sum))
     violations = []
-    for q, t in factorize(params.reduced_sum):
+    for q, t in prime_powers:
         bound = 2 * params.k + s // q**t
         if s > bound:
             violations.append(Violation(q, t, bound))
-    return AdmissibilityVerdict(not violations, tuple(violations))
+    return AdmissibilityVerdict(prime_powers, tuple(violations))
 
 
 def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphConditionVerdict:
@@ -148,12 +159,7 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphCondition
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
     verdict = multitiling_exists(structured_tile(spec, b, c), c)
-    return GraphConditionVerdict(
-        spectrum=verdict.spectrum,
-        reduced_sum=(b + c) // gcd(b, c),
-        passed=verdict.passed,
-        exact=is_prime_power(spec.modulus),
-    )
+    return GraphConditionVerdict(verdict.spectrum, (b + c) // gcd(b, c), verdict.passed)
 
 
 def _residues_odd_prime(s: int, k: int, q: int, t: int) -> list[int]:
@@ -188,10 +194,10 @@ def _residues_odd_quotient(s: int, k: int, t: int) -> list[int]:
     return values
 
 
-def _per_prime_residues(params: ParamTriple) -> list[PerPrimeResidues]:
+def _per_prime_residues(params: ParamTriple, prime_powers: tuple) -> list[PerPrimeResidues]:
     s = params.color_sum
     out = []
-    for q, t in factorize(params.reduced_sum):
+    for q, t in prime_powers:
         if q > 2:
             values = _residues_odd_prime(s, params.k, q, t)
             modulus = q**t
@@ -218,7 +224,7 @@ def construct_distances(params: ParamTriple) -> ConstructionWitness:
     solution each. Finally the largest distance is lifted by whole
     periods until it clears max q^(t+1), which no congruence notices.
     """
-    return _checked(_lifted_distances(params))
+    return _checked(_lifted_distances(params, _admitted(params)))
 
 
 def _checked(witness: ConstructionWitness) -> ConstructionWitness:
@@ -227,14 +233,18 @@ def _checked(witness: ConstructionWitness) -> ConstructionWitness:
     return witness
 
 
-def _lifted_distances(params: ParamTriple) -> ConstructionWitness:
+def _admitted(params: ParamTriple) -> AdmissibilityVerdict:
     # admissibility comes before the cap, so an inadmissible triple is refused whatever k
     verdict = check_admissible(params)
     if not verdict.admissible:
         raise Inadmissible(verdict)
     if params.k > MAX_DISTANCES:
         raise InputTooLarge("k = %d distances is above the cap of %d" % (params.k, MAX_DISTANCES))
-    per_prime = _per_prime_residues(params)
+    return verdict
+
+
+def _lifted_distances(params: ParamTriple, verdict: AdmissibilityVerdict) -> ConstructionWitness:
+    per_prime = _per_prime_residues(params, verdict.prime_powers)
     basis, period = crt_basis([pp.modulus for pp in per_prime])  # N for odd N, else 2N
     distances = [sum(r * e for r, e in zip(residues, basis)) % period
                  for residues in zip(*[pp.residues for pp in per_prime])]
@@ -255,8 +265,11 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     prime-power tiling construction applies with multiplicity c, and the
     support of the resulting 0/1 tile coloured black is a perfect colouring.
     """
-    witness = _lifted_distances(params)
-    if not is_prime_power(params.color_sum):  # admissible, so b + c <= 4k is small
+    verdict = _admitted(params)
+    witness = _lifted_distances(params, verdict)
+    # b + c = N gcd(b, c) is a power of q when N is and b + c divides q^(bit length) > b + c
+    (q, _), *others = verdict.prime_powers
+    if others or pow(q, params.color_sum.bit_length(), params.color_sum):
         return _checked(witness)
     u = structured_tile(witness.spec, params.b, params.c)
     try:

@@ -156,7 +156,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
     spec = CirculantSpec(args.P, args.distances)
     verdict = check_graph_condition(spec, args.b, args.c)
-    spectrum = verdict.spectrum  # a tile summing to b + c > 0 has no Phi_1: both products agree
+    spectrum = verdict.spectrum  # the tile sums to b + c > 0, so no Phi_1 divides its mask
     _emit({
         "P": spec.modulus,
         "distances": list(spec.distances),
@@ -164,7 +164,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "c": args.c,
         "divisors": sorted(spectrum.divisors),
         "prime_power_divisors": sorted(spectrum.prime_power_subset),
-        "divisor_product_at_one": spectrum.prime_power_product,
         "prime_power_product_at_one": spectrum.prime_power_product,
         "N": verdict.reduced_sum,
         "passes": verdict.passed,

@@ -35,7 +35,6 @@ from operator import add, sub
 
 from .arith import factorize
 from .errors import InputTooLarge, ZeroMask
-from .polyring import IntPolynomial, poly_divmod
 from .record import Record
 
 MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anything is allocated
@@ -49,6 +48,8 @@ def cyclotomic(n: int) -> IntPolynomial:
     Memoized; the cache is written once per key, so concurrent readers
     only ever observe finished values.
     """
+    from .polyring import IntPolynomial  # imported on use: the spectrum needs no polynomial
+
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -100,6 +101,8 @@ def _mobius_series(exponents: dict[int, int], length: int) -> list[int]:
 
 def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
     """Whether the n-th cyclotomic polynomial divides f in Z[x]. f must be nonzero."""
+    from .polyring import poly_divmod
+
     if f.is_zero():
         raise ValueError("divisibility test needs a nonzero polynomial")
     _, rem = poly_divmod(f, cyclotomic(n))
@@ -109,15 +112,17 @@ def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
 class DivisorSpectrum(Record):
     """Which cyclotomic polynomials with index dividing P divide a given mask.
 
-    prime_power_product, the value at 1 of the prime-power part, is the
-    product of p over each Phi_{p^j} in it.
+    primes are the distinct primes of P, ascending. prime_power_product,
+    the value at 1 of the prime-power part, is the product of p over each
+    Phi_{p^j} in it.
     """
 
-    __slots__ = ("modulus", "divisors", "prime_power_subset", "prime_power_product")
+    __slots__ = ("modulus", "primes", "divisors", "prime_power_subset", "prime_power_product")
 
-    def __init__(self, modulus: int, divisors: frozenset[int],
+    def __init__(self, modulus: int, primes: tuple[int, ...], divisors: frozenset[int],
                  prime_power_subset: frozenset[int], prime_power_product: int):
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "prime_power_subset", prime_power_subset)
         object.__setattr__(self, "prime_power_product", prime_power_product)
@@ -130,10 +135,9 @@ class DivisorSpectrum(Record):
         Each Phi_n, n in the spectrum, takes its exponents from the primes
         of P, and all are netted before one _mobius_series.
         """
-        primes = [p for p, _ in factorize(self.modulus)]
         exponents = {1: -1}
         for n in self.divisors:
-            for e, a in _mobius_exponents(n, [p for p in primes if n % p == 0]):
+            for e, a in _mobius_exponents(n, [p for p in self.primes if n % p == 0]):
                 exponents[e] = exponents.get(e, 0) - a
         return _mobius_series(exponents, self.modulus)
 
@@ -162,7 +166,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
         top = _fold(top + [0] * (-len(top) % modulus), modulus)
     if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
-    primes = [p for p, _ in factorize(modulus)]
+    primes = tuple(p for p, _ in factorize(modulus))
     hits, prime_powers, product = [], [], 1
     # (n, the fold that n's fold is added up from, index of the last prime divided out)
     pending = [(modulus, top, 0)]
@@ -178,12 +182,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
         # divide out primes from the last one divided out onwards, never an earlier one
         pending.extend((n // primes[i], fold, i)
                        for i in range(first, len(primes)) if n % primes[i] == 0)
-    return DivisorSpectrum(
-        modulus=modulus,
-        divisors=frozenset(hits),
-        prime_power_subset=frozenset(prime_powers),
-        prime_power_product=product,
-    )
+    return DivisorSpectrum(modulus, primes, frozenset(hits), frozenset(prime_powers), product)
 
 
 def _fold(values: list[int], n: int) -> list[int]:

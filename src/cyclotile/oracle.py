@@ -44,13 +44,9 @@ class SearchReport(Record):
     the states of the possible weight class are.
     """
 
-    __slots__ = ("spec", "b", "c", "found", "exhausted", "states_examined")
+    __slots__ = ("found", "exhausted", "states_examined")
 
-    def __init__(self, spec: CirculantSpec, b: int, c: int, found: tuple[Coloring, ...],
-                 exhausted: bool, states_examined: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    def __init__(self, found: tuple[Coloring, ...], exhausted: bool, states_examined: int):
         object.__setattr__(self, "found", found)
         object.__setattr__(self, "exhausted", exhausted)
         object.__setattr__(self, "states_examined", states_examined)
@@ -99,7 +95,7 @@ def search_colorings(
     if max_states < 1:
         raise ValueError("max_states must be positive")
     if max(b, c) > 2 * spec.k or p * c % (b + c):
-        return SearchReport(spec, b, c, (), True, 1 << p)
+        return SearchReport((), True, 1 << p)
     # vertex g's row is one offset multiset shifted by g: its neighbours g + d and g - d,
     # and its own bit (offset 0) weighted b + c - 2k
     offsets = collections.Counter(spec.neighbors(0))
@@ -112,7 +108,7 @@ def search_colorings(
         if limit is not None and len(found) >= limit:
             examined = mask + 1
             break
-    return SearchReport(spec, b, c, tuple(found), examined == 1 << p, examined)
+    return SearchReport(tuple(found), examined == 1 << p, examined)
 
 
 def search_tilings(u: Tile, m: int) -> list[Tile]:

@@ -13,7 +13,6 @@ the 0/1 prime-power one is a sum of two digit sets.
 
 from __future__ import annotations
 
-from .arith import factorize
 from .cyclotomic import DivisorSpectrum, divisor_spectrum
 from .errors import (
     ModulusMismatch,
@@ -21,7 +20,6 @@ from .errors import (
     NotExists,
     NotPrimePower,
 )
-from .polyring import IntPolynomial
 from .record import Record
 
 
@@ -47,12 +45,10 @@ class ExistenceVerdict(Record):
     spectrum is the divisor spectrum of the mask, None only for a zero mask.
     """
 
-    __slots__ = ("passed", "multiplicity", "mask_sum", "spectrum")
+    __slots__ = ("passed", "mask_sum", "spectrum")
 
-    def __init__(self, passed: bool, multiplicity: int, mask_sum: int,
-                 spectrum: DivisorSpectrum | None):
+    def __init__(self, passed: bool, mask_sum: int, spectrum: DivisorSpectrum | None):
         object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "mask_sum", mask_sum)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -61,14 +57,13 @@ class ExistenceVerdict(Record):
 
 
 class MultitilingWitness(Record):
-    """A constructed m-multitiling together with its polynomial certificate."""
+    """A constructed m-multitiling, R times the spectrum's cofactor, and its constant R."""
 
-    __slots__ = ("tile", "multiplier", "multiplicity")
+    __slots__ = ("tile", "multiplier")
 
-    def __init__(self, tile: Tile, multiplier: IntPolynomial, multiplicity: int):
+    def __init__(self, tile: Tile, multiplier: int):
         object.__setattr__(self, "tile", tile)
         object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
@@ -99,11 +94,11 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
     if not any(u.values):
-        return ExistenceVerdict(False, multiplicity, 0, None)
+        return ExistenceVerdict(False, 0, None)
     mask_sum = sum(u.values)
     spectrum = divisor_spectrum(u.values, u.modulus)
     passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
-    return ExistenceVerdict(passed, multiplicity, mask_sum, spectrum)
+    return ExistenceVerdict(passed, mask_sum, spectrum)
 
 
 def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
@@ -119,18 +114,15 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
     constant = multiplicity * verdict.spectrum.prime_power_product // verdict.mask_sum
-    return MultitilingWitness(
-        tile=Tile(tuple(constant * cf for cf in verdict.spectrum.cofactor())),
-        multiplier=IntPolynomial([constant]),
-        multiplicity=multiplicity,
-    )
+    return MultitilingWitness(Tile(tuple(constant * cf for cf in verdict.spectrum.cofactor())),
+                              constant)
 
 
 def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     """Build a 0/1 m-tiling on a prime-power group.
 
-    Requires 0 < m <= mask sum and a passing existence test. On P = p^a
-    the product of the cyclotomic divisors Phi_{p^j}, j in S, is the
+    Requires 0 < m <= mask sum, then a prime-power group order, then a
+    passing existence test. On P = p^a the product of the cyclotomic divisors Phi_{p^j}, j in S, is the
     indicator of the digit set D_S = {sum over j in S of e_j p^(j-1) :
     0 <= e_j < p}, and (x^P - 1) / ((x - 1) times that product) is the
     indicator of D_T for the other exponents T. The witness takes the
@@ -139,18 +131,15 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     so it is 0/1 with no product and no division (Coven and Meyerowitz,
     Tiling the integers with translates of one finite set, J. Algebra 1999).
     """
-    factors = factorize(u.modulus)
-    if len(factors) != 1:
-        raise NotPrimePower("group order %d is not a prime power" % u.modulus)
     mask_sum = sum(u.values)
     if multiplicity <= 0 or multiplicity > mask_sum:
-        raise MultiplicityOutOfRange(
-            "need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity)
-        )
-    verdict = multitiling_exists(u, multiplicity)
+        raise MultiplicityOutOfRange("need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity))
+    verdict = multitiling_exists(u, multiplicity)  # a positive mask sum: a spectrum
+    if len(verdict.spectrum.primes) != 1:
+        raise NotPrimePower("group order %d is not a prime power" % u.modulus)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    base = factors[0][0]
+    (base,) = verdict.spectrum.primes
     chosen_places, other_places = [], []  # p^(j-1) for each j, split by Phi_{p^j} dividing
     place = 1
     while place < u.modulus:

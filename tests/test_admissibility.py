@@ -18,6 +18,7 @@ from cyclotile.admissibility import (
     construct_perfect_coloring,
     witness_to_document,
 )
+from cyclotile.arith import is_prime_power
 from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document
 from cyclotile.errors import Inadmissible, InputTooLarge
 from cyclotile.oracle import search_colorings
@@ -115,11 +116,9 @@ def test_graph_condition_is_divisibility_by_reduced_sum():
         assert spectrum.modulus == p and 1 not in spectrum.divisors
 
 
-@pytest.mark.parametrize("triple", [(1, 255, 128), (3, 7, 6), (2, 10, 7)])
-def test_a_construction_factorizes_a_few_numbers_only(monkeypatch, triple):
-    # the spectrum walk multiplies in the prime of each prime-power divisor it accepts, so
-    # nothing is factorized per divisor. Each module binds factorize itself, and the name
-    # cyclotile.cyclotomic is the function, so the modules are reached through sys.modules.
+def count_factorize(monkeypatch) -> list:
+    """Patch factorize in every module that binds it; the numbers it is called with."""
+    # the name cyclotile.cyclotomic is the function, so the modules are reached through sys.modules
     original = sys.modules["cyclotile.arith"].factorize
     calls = []
 
@@ -132,8 +131,36 @@ def test_a_construction_factorizes_a_few_numbers_only(monkeypatch, triple):
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "factorize", counting)
     assert "cyclotile.cyclotomic" in patched and "cyclotile.admissibility" in patched
-    construct_perfect_coloring(ParamTriple(*triple))
-    assert len(calls) <= 5, calls
+    return calls
+
+
+@pytest.mark.parametrize("triple", [(1, 255, 128), (3, 7, 6), (2, 10, 7), (3, 3, 2)])
+def test_a_construction_factorizes_a_few_numbers_only(monkeypatch, triple):
+    # N once, in the admissibility verdict that the residues and the prime-power decision
+    # read, and P once, in the spectrum whose primes the tiling and the exact flag read
+    params = ParamTriple(*triple)
+    calls = count_factorize(monkeypatch)
+    witness = construct_perfect_coloring(params)
+    assert calls == [params.reduced_sum, witness.spec.modulus]
+    if triple == (3, 3, 2):
+        # gcd 3, N = 2 and P = 4 are prime powers, b + c = 6 is not: only the certificate
+        assert witness.coloring is None and witness == construct_distances(params)
+
+
+def test_a_multitiling_factorizes_its_group_order_once(monkeypatch):
+    calls = count_factorize(monkeypatch)
+    witness = construct_multitiling(Tile((1, 1, 1) + (0,) * 9), 3)
+    assert calls == [12] and witness.multiplier == 3  # m d(1) / masksum = 3 * 3 / 3
+
+
+def test_prime_power_sum_decision_matches_is_prime_power():
+    # b + c = g (b + c)/g with g = gcd(b, c): every gcd of every sum up to 300, both ways round
+    for s in range(2, 301):
+        for g in (g for g in range(1, s) if s % g == 0):
+            for b, c in {(g, s - g), (s - g, g)}:
+                k = next(k for k in range(1, s) if check_admissible(ParamTriple(b, c, k)))
+                witness = construct_perfect_coloring(ParamTriple(b, c, k))
+                assert (witness.coloring is not None) == is_prime_power(s), (b, c, k)
 
 
 def test_graph_condition_huge_distance():

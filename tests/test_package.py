@@ -66,6 +66,31 @@ def test_verify_colouring_loads_no_algebra(tmp_path):
     assert run_fresh(code, str(doc)) == []
 
 
+def test_construct_loads_no_polyring():
+    # the spectrum and both witnesses need no polynomial type, so polyring is imported
+    # only by the two functions that return or divide one
+    code = """if True:
+        import contextlib, io, json, sys
+        from cyclotile import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["construct", "--b", "1", "--c", "7", "--k", "4"]) == 0
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("cyclotile"))))
+    """
+    assert run_fresh(code) == ["cyclotile"] + ["cyclotile." + name for name in (
+        "admissibility", "arith", "cli", "coloring", "cyclotomic", "errors", "record", "tiling")]
+    code = """if True:
+        import contextlib, io, json
+        from cyclotile import cli, cyclotomic, cyclotomic_divides
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["cyclotomic", "12"]) == 0
+        phi = cyclotomic(12)
+        print(json.dumps([json.loads(out.getvalue()), cyclotomic_divides(12, phi * cyclotomic(5)),
+                          cyclotomic_divides(3, phi)]))
+    """
+    assert run_fresh(code) == [{"n": 12, "coeffs": [1, 0, -1, 0, 1]}, True, False]
+
+
 def test_benchmark_tracer_finds_every_function_its_metrics_need():
     # a traced benchmark run skips a function it cannot find and drops the metrics that need it
     spec = importlib.util.spec_from_file_location(

@@ -22,7 +22,7 @@ from cyclotile import (
     Violation,
 )
 
-SPECTRUM = DivisorSpectrum(12, frozenset({3, 4, 12}), frozenset({3, 4}), 6)
+SPECTRUM = DivisorSpectrum(12, (2, 3), frozenset({3, 4, 12}), frozenset({3, 4}), 6)
 
 # every value type with keyword arguments in constructor order, already in canonical form;
 # the fields of one value differ from each other, so that two swapped fields show
@@ -31,20 +31,19 @@ CASES = [
     (CirculantSpec, dict(modulus=8, distances=(1, 1, 10))),
     (Coloring, dict(colors="BBBWBBBW", b=2, c=6)),
     (Tile, dict(values=(1, 0, -2))),
-    (ExistenceVerdict, dict(passed=True, multiplicity=6, mask_sum=8, spectrum=SPECTRUM)),
-    (MultitilingWitness, dict(tile=Tile((1, 1)), multiplier=IntPolynomial([1]), multiplicity=1)),
-    (DivisorSpectrum, dict(modulus=12, divisors=frozenset({3, 4, 12}),
+    (ExistenceVerdict, dict(passed=True, mask_sum=8, spectrum=SPECTRUM)),
+    (MultitilingWitness, dict(tile=Tile((1, 1)), multiplier=3)),
+    (DivisorSpectrum, dict(modulus=12, primes=(2, 3), divisors=frozenset({3, 4, 12}),
                            prime_power_subset=frozenset({3, 4}), prime_power_product=6)),
     (ParamTriple, dict(b=2, c=6, k=3)),
     (Violation, dict(q=2, t=3, bound=5)),
-    (AdmissibilityVerdict, dict(admissible=False, violations=(Violation(2, 3, 5),))),
-    (GraphConditionVerdict, dict(spectrum=SPECTRUM, reduced_sum=2, passed=True, exact=False)),
+    (AdmissibilityVerdict, dict(prime_powers=((2, 3),), violations=(Violation(2, 3, 5),))),
+    (GraphConditionVerdict, dict(spectrum=SPECTRUM, reduced_sum=2, passed=True)),
     (PerPrimeResidues, dict(q=2, t=3, modulus=16, residues=(1, 1, 2))),
     (ConstructionWitness, dict(params=ParamTriple(2, 6, 3), spec=CirculantSpec(8, (1, 1, 10)),
                                per_prime_residues=(PerPrimeResidues(2, 2, 8, (1, 1, 2)),),
                                coloring=Coloring("BBBWBBBW", 2, 6))),
-    (SearchReport, dict(spec=CirculantSpec(4, (1,)), b=2, c=1, found=(Coloring("BWBW", 2, 1),),
-                        exhausted=True, states_examined=16)),
+    (SearchReport, dict(found=(Coloring("BWBW", 2, 1),), exhausted=True, states_examined=16)),
 ]
 
 
@@ -83,3 +82,22 @@ def test_value_semantics(cls, kwargs):
 def test_types_with_equal_fields_are_unequal():
     assert ParamTriple(1, 2, 3) != Violation(1, 2, 3)
     assert Tile((1, 2)) != IntPolynomial((1, 2))
+
+
+def test_derived_flags_are_properties_not_fields():
+    # admissible and exact are read off a field, so they take no part in repr, == or hash
+    admissible = AdmissibilityVerdict(((2, 3),), ())
+    refused = AdmissibilityVerdict(((2, 3),), (Violation(2, 3, 5),))
+    assert admissible.admissible and admissible and not refused.admissible and not refused
+    assert repr(admissible) == "AdmissibilityVerdict(prime_powers=((2, 3),), violations=())"
+    assert hash(admissible) == hash((((2, 3),), ()))
+    prime_power = DivisorSpectrum(8, (2,), frozenset({8}), frozenset({8}), 2)
+    assert GraphConditionVerdict(prime_power, 2, True).exact
+    verdict = GraphConditionVerdict(SPECTRUM, 2, True)
+    assert not verdict.exact and "exact" not in repr(verdict)
+    assert verdict == GraphConditionVerdict(SPECTRUM, 2, True)
+    assert hash(verdict) == hash((SPECTRUM, 2, True))
+    for value, name in ((admissible, "admissible"), (verdict, "exact")):
+        assert isinstance(getattr(type(value), name), property)
+        with pytest.raises(AttributeError):
+            setattr(value, name, True)

@@ -83,11 +83,11 @@ def test_construct_multitiling_examples():
 
     w = construct_multitiling(Tile((1, 0, 1, 0)), 1)
     assert w.tile.values == (1, 1, 0, 0)
-    assert w.multiplier.coeffs == (1,)
+    assert w.multiplier == 1
 
     w = construct_multitiling(Tile((1, 0, 1, 0)), 2)
     assert w.tile.values == (2, 2, 0, 0)
-    assert w.multiplier.coeffs == (2,)
+    assert w.multiplier == 2
 
 
 def test_construct_multitiling_not_exists():
@@ -99,7 +99,7 @@ def test_construct_multitiling_not_exists():
 
 
 def test_witness_multiplier_identity():
-    # the multiplier evaluated at 1 equals m * d(1) / masksum
+    # the constant multiplier equals m * d(1) / masksum
     rng = random.Random(12)
     seen = 0
     while seen < 50:
@@ -114,7 +114,7 @@ def test_witness_multiplier_identity():
         mask_sum = sum(u.values)
         spectrum = divisor_spectrum(u.values, p)
         d_at_one = sum(_cofactor_by_division(p, spectrum.divisors)[1].coeffs)
-        assert sum(w.multiplier.coeffs) * mask_sum == m * d_at_one
+        assert w.multiplier * mask_sum == m * d_at_one
         seen += 1
 
 
