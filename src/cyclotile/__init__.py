@@ -18,7 +18,6 @@ import sys
 _HOME = {
     "AdmissibilityVerdict": "admissibility",
     "ConstructionWitness": "admissibility",
-    "GraphConditionVerdict": "admissibility",
     "ParamTriple": "admissibility",
     "PerPrimeResidues": "admissibility",
     "Violation": "admissibility",
@@ -29,7 +28,6 @@ _HOME = {
     "witness_to_document": "admissibility",
     "divisors": "arith",
     "factorize": "arith",
-    "is_prime_power": "arith",
     "BLACK": "coloring",
     "WHITE": "coloring",
     "CirculantSpec": "coloring",

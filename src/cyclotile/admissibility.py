@@ -24,10 +24,9 @@ from .coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from .cyclotomic import DivisorSpectrum
 from .errors import Inadmissible, InputTooLarge, NotExists
 from .record import Record
-from .tiling import construct_tiling_prime_power, multitiling_exists
+from .tiling import ExistenceVerdict, construct_tiling_prime_power, multitiling_exists
 
 # a construction lists k distances on a group of order at most 8k; larger k is refused
 MAX_DISTANCES = 100_000
@@ -80,26 +79,17 @@ class AdmissibilityVerdict(Record):
     def admissible(self) -> bool:
         return not self.violations
 
+    def prime_power_sum(self, color_sum: int) -> bool:
+        """Whether b + c, the color_sum this verdict was decided on, is a prime power.
+
+        b + c = N gcd(b, c) is a power of q when N is a power of q and b + c
+        divides q^(bit length of b + c), which exceeds b + c.
+        """
+        (q, _), *others = self.prime_powers
+        return not others and pow(q, color_sum.bit_length(), color_sum) == 0
+
     def __bool__(self) -> bool:
         return self.admissible
-
-
-class GraphConditionVerdict(Record):
-    """Outcome of the divisibility condition on the structured mask's spectrum."""
-
-    __slots__ = ("spectrum", "reduced_sum", "passed")
-
-    def __init__(self, spectrum: DivisorSpectrum, reduced_sum: int, passed: bool):
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "reduced_sum", reduced_sum)
-        object.__setattr__(self, "passed", passed)
-
-    @property
-    def exact(self) -> bool:
-        return len(self.spectrum.primes) == 1
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 class PerPrimeResidues(Record):
@@ -141,25 +131,22 @@ def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(prime_powers, tuple(violations))
 
 
-def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> GraphConditionVerdict:
+def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> ExistenceVerdict:
     """Necessary condition for a (b, c)-perfect colouring of the graph.
 
-    Passes iff pi, the structured mask's spectrum.prime_power_product, is
-    divisible by (b+c)/gcd(b, c); the verdict holds that spectrum. On a
-    prime-power group order the condition is also sufficient, which the
-    verdict flags as exact.
-
-    This is a view of the c-multitiling test on the structured tile: its
-    mask sum b + c is nonzero, so pi is also the product of all divisors
-    at 1, and c * pi = 0 (mod b + c) holds exactly when (b+c)/gcd(b, c)
-    divides pi, because c/gcd(b, c) is a unit modulo it.
+    The verdict is the c-multitiling test on the structured tile, whose
+    spectrum it holds. It passes iff pi, the spectrum's
+    prime_power_product, is divisible by N = (b+c)/gcd(b, c): the mask sum
+    b + c is nonzero, so pi is also the product of all divisors at 1, and
+    c * pi = 0 (mod b + c) holds exactly when N divides pi, because
+    c/gcd(b, c) is a unit modulo N. On a prime-power group order the
+    condition is also sufficient, which the verdict flags as exact.
     """
     if spec.modulus < 2:
         raise ValueError("the graph needs at least 2 vertices")
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
-    verdict = multitiling_exists(structured_tile(spec, b, c), c)
-    return GraphConditionVerdict(verdict.spectrum, (b + c) // gcd(b, c), verdict.passed)
+    return multitiling_exists(structured_tile(spec, b, c), c)
 
 
 def _residues_odd_prime(s: int, k: int, q: int, t: int) -> list[int]:
@@ -267,9 +254,7 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     """
     verdict = _admitted(params)
     witness = _lifted_distances(params, verdict)
-    # b + c = N gcd(b, c) is a power of q when N is and b + c divides q^(bit length) > b + c
-    (q, _), *others = verdict.prime_powers
-    if others or pow(q, params.color_sum.bit_length(), params.color_sum):
+    if not verdict.prime_power_sum(params.color_sum):
         return _checked(witness)
     u = structured_tile(witness.spec, params.b, params.c)
     try:

@@ -1,4 +1,4 @@
-"""Small exact integer helpers: divisors, factorization, prime powers, CRT.
+"""Small exact integer helpers: divisors, factorization, CRT.
 
 factorize divides out the primes below 1024 by trial division. Whatever
 cofactor is left has only prime factors above 1024; Miller-Rabin with
@@ -145,11 +145,6 @@ def _brent_rho(n: int) -> int:
         if g != n:
             return g
         c += 1
-
-
-def is_prime_power(n: int) -> bool:
-    """True when n = p^e for a prime p and e >= 1. Note 1 is not a prime power."""
-    return n >= 2 and len(factorize(n)) == 1
 
 
 def crt_basis(moduli: list[int]) -> tuple[list[int], int]:

@@ -7,7 +7,9 @@ negative mathematical verdict, 2 means the invocation itself was bad,
 and 3 means an internal invariant failed, which is a bug in cyclotile.
 
 Handlers decide nothing the library decides: `construct` reads admissibility
-and the route from the one construction it calls, `table` from the verdict.
+and the route from the one construction it calls, `table` reads admissibility
+and whether b + c is a prime power from each row's verdict, and every N is
+`ParamTriple.reduced_sum`.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "perfect": ok,
         })
         return 0 if ok else 1
-    from .admissibility import check_graph_condition
+    from .admissibility import ParamTriple, check_graph_condition
 
     verdict = check_graph_condition(spec, b, c)
     _emit({
@@ -114,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "P": spec.modulus,
         "b": b,
         "c": c,
-        "N": verdict.reduced_sum,
+        "N": ParamTriple(b, c, spec.k).reduced_sum,
         "prime_power_product_at_one": verdict.spectrum.prime_power_product,
         "passes": verdict.passed,
         "exact": verdict.exact,
@@ -151,7 +153,7 @@ def _cmd_cyclotomic(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    from .admissibility import check_graph_condition
+    from .admissibility import ParamTriple, check_graph_condition
     from .coloring import CirculantSpec
 
     spec = CirculantSpec(args.P, args.distances)
@@ -165,7 +167,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "divisors": sorted(spectrum.divisors),
         "prime_power_divisors": sorted(spectrum.prime_power_subset),
         "prime_power_product_at_one": spectrum.prime_power_product,
-        "N": verdict.reduced_sum,
+        "N": ParamTriple(args.b, args.c, spec.k).reduced_sum,
         "passes": verdict.passed,
         "exact": verdict.exact,
     })
@@ -174,7 +176,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _table_rows(k: int, max_sum: int) -> list[dict]:
     from .admissibility import ParamTriple, check_admissible
-    from .arith import is_prime_power
 
     count = max_sum * (max_sum - 1) // 2  # s - 1 rows for each s = 2, ..., max_sum
     if count > MAX_TABLE_ROWS:
@@ -182,11 +183,11 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
                             % (max_sum, count, MAX_TABLE_ROWS))
     rows = []
     for s in range(2, max_sum + 1):
-        pp = is_prime_power(s)
         for b in range(1, s):
             c = s - b
             params = ParamTriple(b, c, k)
             verdict = check_admissible(params)
+            pp = verdict.prime_power_sum(s)
             worst = verdict.violations[0] if verdict.violations else None
             rows.append({
                 "b": b,

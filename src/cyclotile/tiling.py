@@ -40,17 +40,21 @@ class Tile(Record):
 
 
 class ExistenceVerdict(Record):
-    """Outcome of the multitiling divisibility test, with the numbers behind it.
+    """Outcome of the multitiling divisibility test, and the spectrum it was decided on.
 
     spectrum is the divisor spectrum of the mask, None only for a zero mask.
     """
 
-    __slots__ = ("passed", "mask_sum", "spectrum")
+    __slots__ = ("passed", "spectrum")
 
-    def __init__(self, passed: bool, mask_sum: int, spectrum: DivisorSpectrum | None):
+    def __init__(self, passed: bool, spectrum: DivisorSpectrum | None):
         object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "mask_sum", mask_sum)
         object.__setattr__(self, "spectrum", spectrum)
+
+    @property
+    def exact(self) -> bool:
+        """True on a prime-power group order, the one construct_tiling_prime_power accepts."""
+        return self.spectrum is not None and len(self.spectrum.primes) == 1
 
     def __bool__(self) -> bool:
         return self.passed
@@ -94,11 +98,11 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
     if not any(u.values):
-        return ExistenceVerdict(False, 0, None)
+        return ExistenceVerdict(False, None)
     mask_sum = sum(u.values)
     spectrum = divisor_spectrum(u.values, u.modulus)
     passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
-    return ExistenceVerdict(passed, mask_sum, spectrum)
+    return ExistenceVerdict(passed, spectrum)
 
 
 def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
@@ -113,7 +117,7 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
-    constant = multiplicity * verdict.spectrum.prime_power_product // verdict.mask_sum
+    constant = multiplicity * verdict.spectrum.prime_power_product // sum(u.values)
     return MultitilingWitness(Tile(tuple(constant * cf for cf in verdict.spectrum.cofactor())),
                               constant)
 
@@ -134,8 +138,8 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     mask_sum = sum(u.values)
     if multiplicity <= 0 or multiplicity > mask_sum:
         raise MultiplicityOutOfRange("need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity))
-    verdict = multitiling_exists(u, multiplicity)  # a positive mask sum: a spectrum
-    if len(verdict.spectrum.primes) != 1:
+    verdict = multitiling_exists(u, multiplicity)
+    if not verdict.exact:
         raise NotPrimePower("group order %d is not a prime power" % u.modulus)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)

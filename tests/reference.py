@@ -48,3 +48,13 @@ def split_sums(weights, full, bits):
                 out[t + a] = out.get(t + a, 0) | states ^ keep
         sums = out
     return sums
+
+
+def is_prime_power(n):
+    """True when n = p^e for a prime p and e >= 1, by trial division; 1 is not one."""
+    if n < 2:
+        return False
+    p = next(d for d in range(2, n + 1) if n % d == 0)  # the least prime factor
+    while n % p == 0:
+        n //= p
+    return n == 1

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from cyclotile import admissibility, coloring, tiling
+from cyclotile.cli import _table_rows
 from cyclotile.admissibility import (
     MAX_DISTANCES,
     ParamTriple,
@@ -18,11 +19,16 @@ from cyclotile.admissibility import (
     construct_perfect_coloring,
     witness_to_document,
 )
-from cyclotile.arith import is_prime_power
-from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document
+from cyclotile.coloring import CirculantSpec, is_perfect_coloring, parse_document, structured_tile
 from cyclotile.errors import Inadmissible, InputTooLarge
 from cyclotile.oracle import search_colorings
-from cyclotile.tiling import Tile, construct_multitiling, construct_tiling_prime_power
+from cyclotile.tiling import (
+    Tile,
+    construct_multitiling,
+    construct_tiling_prime_power,
+    multitiling_exists,
+)
+from reference import is_prime_power
 
 
 def test_param_triple():
@@ -90,7 +96,7 @@ def test_graph_condition_examples():
     verdict = check_graph_condition(CirculantSpec(4, (1,)), 1, 1)
     assert verdict.passed and verdict.exact
     assert verdict.spectrum.prime_power_product == 2
-    assert verdict.reduced_sum == 2
+    assert ParamTriple(1, 1, 1).reduced_sum == 2
 
     verdict = check_graph_condition(CirculantSpec(3, (1,)), 1, 1)
     assert not verdict.passed
@@ -108,12 +114,32 @@ def test_graph_condition_is_divisibility_by_reduced_sum():
         p = rng.randrange(2, 25)
         distances = tuple(rng.randrange(0, 2 * p) for _ in range(rng.randrange(1, 4)))
         b, c = rng.randrange(1, 9), rng.randrange(1, 9)
-        verdict = check_graph_condition(CirculantSpec(p, distances), b, c)
-        assert verdict.reduced_sum == (b + c) // math.gcd(b, c)
+        spec = CirculantSpec(p, distances)
+        verdict = check_graph_condition(spec, b, c)
+        n = ParamTriple(b, c, spec.k).reduced_sum
+        assert n == (b + c) // math.gcd(b, c)
         spectrum = verdict.spectrum
-        assert verdict.passed == (spectrum.prime_power_product % verdict.reduced_sum == 0)
+        assert verdict.passed == (spectrum.prime_power_product % n == 0)
         # the tile sums to b + c > 0, so the product of all divisors at 1 is the prime-power one
         assert spectrum.modulus == p and 1 not in spectrum.divisors
+
+
+def test_graph_condition_is_the_existence_verdict_of_the_structured_tile():
+    # one verdict for the one test: exact exactly when the group order has one prime factor
+    rng = random.Random(19)
+    orders = [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64] + list(range(2, 65))
+    for i in range(400):
+        p = orders[i % len(orders)]
+        distances = [rng.randrange(0, 3 * p) for _ in range(rng.randrange(1, 5))]
+        if i % 3 == 0:
+            distances.append(0)
+        if i % 4 == 0:
+            distances.append(distances[0])  # a repeated distance
+        spec = CirculantSpec(p, tuple(distances))
+        b, c = rng.randrange(1, 9), rng.randrange(1, 9)
+        verdict = check_graph_condition(spec, b, c)
+        assert verdict == multitiling_exists(structured_tile(spec, b, c), c), (spec, b, c)
+        assert verdict.exact == is_prime_power(p), p
 
 
 def count_factorize(monkeypatch) -> list:
@@ -161,6 +187,17 @@ def test_prime_power_sum_decision_matches_is_prime_power():
                 k = next(k for k in range(1, s) if check_admissible(ParamTriple(b, c, k)))
                 witness = construct_perfect_coloring(ParamTriple(b, c, k))
                 assert (witness.coloring is not None) == is_prime_power(s), (b, c, k)
+    # the table reads the same decision off each row's verdict
+    for row in _table_rows(3, 100):
+        assert row["prime_power_sum"] == is_prime_power(row["b"] + row["c"]), row
+
+
+def test_a_table_factorizes_once_per_row(monkeypatch):
+    # each row's N, in its admissibility verdict, which also decides the prime-power sum
+    calls = count_factorize(monkeypatch)
+    rows = _table_rows(3, 40)
+    assert len(rows) == 780 and len(calls) == 780
+    assert calls == [ParamTriple(row["b"], row["c"], 3).reduced_sum for row in rows]
 
 
 def test_graph_condition_huge_distance():

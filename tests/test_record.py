@@ -12,7 +12,6 @@ from cyclotile import (
     ConstructionWitness,
     DivisorSpectrum,
     ExistenceVerdict,
-    GraphConditionVerdict,
     IntPolynomial,
     MultitilingWitness,
     ParamTriple,
@@ -31,14 +30,13 @@ CASES = [
     (CirculantSpec, dict(modulus=8, distances=(1, 1, 10))),
     (Coloring, dict(colors="BBBWBBBW", b=2, c=6)),
     (Tile, dict(values=(1, 0, -2))),
-    (ExistenceVerdict, dict(passed=True, mask_sum=8, spectrum=SPECTRUM)),
+    (ExistenceVerdict, dict(passed=True, spectrum=SPECTRUM)),
     (MultitilingWitness, dict(tile=Tile((1, 1)), multiplier=3)),
     (DivisorSpectrum, dict(modulus=12, primes=(2, 3), divisors=frozenset({3, 4, 12}),
                            prime_power_subset=frozenset({3, 4}), prime_power_product=6)),
     (ParamTriple, dict(b=2, c=6, k=3)),
     (Violation, dict(q=2, t=3, bound=5)),
     (AdmissibilityVerdict, dict(prime_powers=((2, 3),), violations=(Violation(2, 3, 5),))),
-    (GraphConditionVerdict, dict(spectrum=SPECTRUM, reduced_sum=2, passed=True)),
     (PerPrimeResidues, dict(q=2, t=3, modulus=16, residues=(1, 1, 2))),
     (ConstructionWitness, dict(params=ParamTriple(2, 6, 3), spec=CirculantSpec(8, (1, 1, 10)),
                                per_prime_residues=(PerPrimeResidues(2, 2, 8, (1, 1, 2)),),
@@ -92,11 +90,12 @@ def test_derived_flags_are_properties_not_fields():
     assert repr(admissible) == "AdmissibilityVerdict(prime_powers=((2, 3),), violations=())"
     assert hash(admissible) == hash((((2, 3),), ()))
     prime_power = DivisorSpectrum(8, (2,), frozenset({8}), frozenset({8}), 2)
-    assert GraphConditionVerdict(prime_power, 2, True).exact
-    verdict = GraphConditionVerdict(SPECTRUM, 2, True)
+    assert ExistenceVerdict(True, prime_power).exact
+    assert ExistenceVerdict(False, None).exact is False  # a zero mask has no spectrum
+    verdict = ExistenceVerdict(True, SPECTRUM)
     assert not verdict.exact and "exact" not in repr(verdict)
-    assert verdict == GraphConditionVerdict(SPECTRUM, 2, True)
-    assert hash(verdict) == hash((SPECTRUM, 2, True))
+    assert verdict == ExistenceVerdict(True, SPECTRUM)
+    assert hash(verdict) == hash((True, SPECTRUM))
     for value, name in ((admissible, "admissible"), (verdict, "exact")):
         assert isinstance(getattr(type(value), name), property)
         with pytest.raises(AttributeError):

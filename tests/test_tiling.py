@@ -24,7 +24,7 @@ from cyclotile.tiling import (
     multitiling_exists,
     verify_multitiling,
 )
-from reference import coefficient_sum, cyclic_fold
+from reference import coefficient_sum, cyclic_fold, is_prime_power
 
 
 def folded_tile(f, p):
@@ -55,7 +55,6 @@ def test_verify_modulus_mismatch():
 def test_exists_examples():
     verdict = multitiling_exists(Tile((1, 0, 1, 0)), 1)
     assert verdict.passed
-    assert verdict.mask_sum == 2
     assert verdict.spectrum.prime_power_product == 2
 
     # coefficient sum zero can never tile
@@ -135,6 +134,32 @@ def test_prime_power_construction_rejects():
         construct_tiling_prime_power(Tile((1, 0, 1, 0)), -1)
     with pytest.raises(NotExists):
         construct_tiling_prime_power(Tile((1, 1, 1, 0)), 1)
+
+
+def test_prime_power_construction_refuses_exactly_the_inexact_verdicts():
+    # "P is a prime power" is decided once, as the existence verdict's exact flag
+    rng = random.Random(19)
+    tested = 0
+    for i in range(600):
+        p = rng.choice((2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64)) if i % 2 else rng.randrange(2, 65)
+        u = Tile(tuple(rng.randrange(-1, 3) for _ in range(p)))
+        mask_sum = sum(u.values)
+        if mask_sum <= 0:
+            continue
+        m = rng.randrange(1, mask_sum + 1)
+        verdict = multitiling_exists(u, m)
+        assert verdict.exact == is_prime_power(p), p
+        try:
+            construct_tiling_prime_power(u, m)
+        except NotPrimePower:
+            refused = True
+        except NotExists:
+            refused = False
+        else:
+            refused = False
+        assert refused == (not verdict.exact), (u, m)
+        tested += 1
+    assert tested > 400
 
 
 def test_prime_power_outputs_are_zero_one():
