@@ -93,15 +93,19 @@ class AdmissibilityVerdict(Record):
 
 
 class PerPrimeResidues(Record):
-    """Residue targets for one prime power of N, with the modulus they live in."""
+    """Residue targets for one prime power q^t of N."""
 
-    __slots__ = ("q", "t", "modulus", "residues")
+    __slots__ = ("q", "t", "residues")
 
-    def __init__(self, q: int, t: int, modulus: int, residues: tuple[int, ...]):
+    def __init__(self, q: int, t: int, residues: tuple[int, ...]):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residues", residues)
+
+    @property
+    def modulus(self) -> int:
+        """The residues live modulo q^t for odd q and modulo 2^(t+1) for q = 2."""
+        return self.q**self.t if self.q > 2 else 2 ** (self.t + 1)
 
 
 class ConstructionWitness(Record):
@@ -149,35 +153,11 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> ExistenceVerdi
     return multitiling_exists(structured_tile(spec, b, c), c)
 
 
-def _residues_odd_prime(s: int, k: int, q: int, t: int) -> list[int]:
-    # q odd: s/q^t zeros-adjusted copies of each residue class representative.
-    copies = s // q**t
-    values = [0] * ((copies - (s - 2 * k)) // 2)
-    for r in range(1, (q**t - 1) // 2 + 1):
-        values.extend([r] * copies)
-    return values
-
-
-def _residues_even_quotient(s: int, k: int, t: int) -> list[int]:
-    # q = 2 and s/2^t even.
-    copies = s // 2**t
-    values = [0] * ((copies - (s - 2 * k)) // 2)
-    for r in range(1, 2 ** (t - 1)):
-        values.extend([r] * copies)
-    values.extend([2 ** (t - 1)] * (copies // 2))
-    return values
-
-
-def _residues_odd_quotient(s: int, k: int, t: int) -> list[int]:
-    # q = 2 and s/2^t odd: every odd residue once, every even one s/2^t - 1
-    # times, and the midpoint 2^t half as often.
-    copies = s // 2**t - 1
-    values = [0] * ((copies - (s - 2 * k)) // 2)
-    for j in range(2 ** (t - 1)):
-        values.append(2 * j + 1)
-    for j in range(1, 2 ** (t - 1)):
-        values.extend([2 * j] * copies)
-    values.extend([2**t] * (copies // 2))
+def _half_range(modulus: int, copies: int) -> list[int]:
+    # each class +-r of Z/modulus, copies times; the class r = -r only copies // 2 times
+    values = []
+    for r in range(1, modulus // 2 + 1):
+        values += [r] * (copies if 2 * r < modulus else copies // 2)
     return values
 
 
@@ -185,31 +165,29 @@ def _per_prime_residues(params: ParamTriple, prime_powers: tuple) -> list[PerPri
     s = params.color_sum
     out = []
     for q, t in prime_powers:
-        if q > 2:
-            values = _residues_odd_prime(s, params.k, q, t)
-            modulus = q**t
-        elif (s // 2**t) % 2 == 0:
-            values = _residues_even_quotient(s, params.k, t)
-            modulus = 2 ** (t + 1)
-        else:
-            values = _residues_odd_quotient(s, params.k, t)
-            modulus = 2 ** (t + 1)
+        copies = s // q**t
+        if q > 2 or copies % 2 == 0:
+            values = _half_range(q**t, copies)
+        else:  # q = 2, s/2^t odd: the odd residues below 2^t once, the rule doubled
+            copies -= 1
+            values = list(range(1, 2**t, 2)) + [2 * r for r in _half_range(2**t, copies)]
+        values = [0] * ((copies - (s - 2 * params.k)) // 2) + values
         if len(values) != params.k:
             raise AssertionError("residue count %d != k for prime %d" % (len(values), q))
-        out.append(PerPrimeResidues(q, t, modulus, tuple(sorted(values))))
+        out.append(PerPrimeResidues(q, t, tuple(sorted(values))))
     return out
 
 
 def construct_distances(params: ParamTriple) -> ConstructionWitness:
     """Build distances whose structured mask passes the divisibility condition.
 
-    For each prime power q^t of N a residue multiset is chosen by the
-    three-way case split on q and on the parity of (b+c)/2^t, working
-    modulo q^t for odd q and modulo 2^(t+1) for q = 2. The group order is
-    N for odd N and 2N for even N, which is exactly the product of those
-    moduli, so the per-position congruences have one minimal nonnegative
-    solution each. Finally the largest distance is lifted by whole
-    periods until it clears max q^(t+1), which no congruence notices.
+    For each prime power q^t of N a residue multiset is chosen by one
+    half-range rule (_half_range), working modulo q^t for odd q and
+    modulo 2^(t+1) for q = 2. The group order is N for odd N and 2N for
+    even N, which is exactly the product of those moduli, so the
+    per-position congruences have one minimal nonnegative solution each.
+    Finally the largest distance is lifted by whole periods until it
+    clears max q^(t+1), which no congruence notices.
     """
     return _checked(_lifted_distances(params, _admitted(params)))
 

@@ -183,17 +183,21 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
                             % (max_sum, count, MAX_TABLE_ROWS))
     rows = []
     for s in range(2, max_sum + 1):
+        verdicts = {}  # N -> its verdict: rows of one sum and one gcd(b, c) share both
         for b in range(1, s):
             c = s - b
             params = ParamTriple(b, c, k)
-            verdict = check_admissible(params)
+            n = params.reduced_sum
+            if n not in verdicts:
+                verdicts[n] = check_admissible(params)
+            verdict = verdicts[n]
             pp = verdict.prime_power_sum(s)
             worst = verdict.violations[0] if verdict.violations else None
             rows.append({
                 "b": b,
                 "c": c,
                 "k": k,
-                "N": params.reduced_sum,
+                "N": n,
                 "admissible": verdict.admissible,
                 "violating_q": worst.q if worst else None,
                 "violating_t": worst.t if worst else None,

@@ -5,7 +5,9 @@ cleverness, just enumeration of the 2^P states in a fixed order. A state
 is the integer whose bit g gives the colour (or tile value) at vertex g,
 vertex 0 in the least significant bit, Black encoded as 1. The census
 visits every state, one at a time, with a popcount per vertex and
-neighbour layer. A search visits only the states with the one number of
+neighbour layer. Both searches look for the m-fold covers of a tile, as a
+colouring is perfect exactly when its black indicator is a c-tiling of
+the structured tile. They visit only the states with the one number of
 ones that a counting argument leaves possible, in the same order, in
 blocks of 2^BLOCK_BITS states that share their high bits: one block is
 classified with a few big-int operations per vertex, since each vertex's
@@ -20,7 +22,7 @@ from __future__ import annotations
 import collections
 import functools
 
-from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring
+from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring, structured_tile
 from .errors import InputTooLarge, SearchSpaceTooLarge
 from .record import Record
 from .tiling import Tile, verify_multitiling
@@ -62,17 +64,14 @@ def search_colorings(
 ) -> SearchReport:
     """Every (b, c)-perfect colouring of the graph, in counter order.
 
-    Counting the black-white edges from both ends gives |B| * b = |W| * c,
-    so every hit has exactly w = P * c / (b + c) black vertices. Only the
-    C(P, w) states of that weight are classified, in ascending order, by
-    the block walk: a vertex is perfect when it has 2k - b black
-    neighbours if it is black and c if it is white, that is when its
-    neighbours' colour bits, with its own bit weighted b + c - 2k, sum to
-    c. When w is not an integer, or b or c exceeds the 2k neighbours a
-    vertex has, no state can match and the report of the full sweep is
-    returned without classifying one. With a limit the search stops after
-    that many hits and the report says whether the enumeration ran to the
-    end anyway. Every hit is confirmed by is_perfect_coloring.
+    A colouring is perfect exactly when its black indicator is a c-tiling
+    of structured_tile(spec, b, c), so the hits are that tile's c-covers
+    (_covers), each with w = P * c / (b + c) black vertices, as the tile
+    sums to b + c. When w is not an integer, or b or c exceeds the 2k
+    neighbours a vertex has, no state can match and the report of the
+    full sweep is returned without classifying one. With a limit the
+    search stops after that many hits and the report says whether the
+    enumeration ran to the end. Every hit is confirmed by is_perfect_coloring.
 
     max_states bounds the work: a search that would classify more states
     than that raises SearchSpaceTooLarge, naming the counter position it
@@ -94,16 +93,11 @@ def search_colorings(
         raise ValueError("limit must be positive")
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    if max(b, c) > 2 * spec.k or p * c % (b + c):
+    if max(b, c) > 2 * spec.k:
         return SearchReport((), True, 1 << p)
-    # vertex g's row is one offset multiset shifted by g: its neighbours g + d and g - d,
-    # and its own bit (offset 0) weighted b + c - 2k
-    offsets = collections.Counter(spec.neighbors(0))
-    offsets[0] += b + c - 2 * spec.k
-    rows = [{(g + d) % p: a for d, a in offsets.items() if a} for g in range(p)]
     found = []
     examined = 1 << p
-    for mask in _walk(rows, c, p * c // (b + c), max_states):
+    for mask in _covers(structured_tile(spec, b, c), c, max_states):
         found.append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))
         if limit is not None and len(found) >= limit:
             examined = mask + 1
@@ -114,34 +108,43 @@ def search_colorings(
 def search_tilings(u: Tile, m: int) -> list[Tile]:
     """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
 
-    Summing the cover over the group gives sum(u) * sum(v) = P * m, so
-    only the masks with w = P * m / sum(u) ones are tried. When sum(u) = 0
-    and m = 0 every weight qualifies; otherwise a w that is not an integer
-    in [0, P] leaves nothing to try. A mask v covers vertex g with the sum
-    of u(g - h) over the h in v, so the block walk classifies the masks
-    with weight u(g - h) on bit h at vertex g and target m everywhere.
-    Only a hit is built as a Tile, and verify_multitiling, the naive
-    convolution, confirms each one.
+    The masks come from _covers; only a hit is built as a Tile, and
+    verify_multitiling, the naive convolution, confirms each one.
     """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
-    u_sum = sum(u.values)
-    if u_sum == 0 and m == 0:
-        weight = None
-    elif u_sum == 0 or p * m % u_sum or not 0 <= p * m // u_sum <= p:
-        return []
-    else:
-        weight = p * m // u_sum
-    support = [(d, a) for d, a in enumerate(u.values) if a]
-    rows = [{(g - d) % p: a for d, a in support} for g in range(p)]
     out = []
-    for mask in _walk(rows, m, weight):
+    for mask in _covers(u, m):
         v = Tile(tuple((mask >> g) & 1 for g in range(p)))
         if not verify_multitiling(u, v, m):
             raise AssertionError("oracle cover count disagrees with the direct convolution")
         out.append(v)
     return out
+
+
+def _covers(u: Tile, m: int, max_states: int | None = None):
+    """The P-bit masks v, ascending, that cover every vertex exactly m times with tile u.
+
+    Summing the cover over the group gives sum(u) * sum(v) = P * m, so
+    only the masks with w = P * m / sum(u) ones are classified. When
+    sum(u) = 0 and m = 0 every weight qualifies; otherwise a w that is
+    not an integer in [0, P] leaves nothing to classify. A mask v covers
+    vertex g with the sum of u(g - h) over the h in v, so the block walk
+    classifies the masks with weight u(g - h) on bit h at vertex g and
+    target m everywhere.
+    """
+    p = u.modulus
+    u_sum = sum(u.values)
+    if u_sum == 0 and m == 0:
+        weight = None
+    elif u_sum == 0 or p * m % u_sum or not 0 <= p * m // u_sum <= p:
+        return
+    else:
+        weight = p * m // u_sum
+    support = [(d, a) for d, a in enumerate(u.values) if a]
+    rows = [{(g - d) % p: a for d, a in support} for g in range(p)]
+    yield from _walk(rows, m, weight, max_states)
 
 
 def _planes(row, full: int, bits: tuple[int, ...]) -> tuple[list[int], int]:

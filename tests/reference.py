@@ -58,3 +58,45 @@ def is_prime_power(n):
     while n % p == 0:
         n //= p
     return n == 1
+
+
+# The paper's per-prime residue cases, one function per case, as first written.
+def _residues_odd_prime(s: int, k: int, q: int, t: int) -> list[int]:
+    # q odd: s/q^t zeros-adjusted copies of each residue class representative.
+    copies = s // q**t
+    values = [0] * ((copies - (s - 2 * k)) // 2)
+    for r in range(1, (q**t - 1) // 2 + 1):
+        values.extend([r] * copies)
+    return values
+
+
+def _residues_even_quotient(s: int, k: int, t: int) -> list[int]:
+    # q = 2 and s/2^t even.
+    copies = s // 2**t
+    values = [0] * ((copies - (s - 2 * k)) // 2)
+    for r in range(1, 2 ** (t - 1)):
+        values.extend([r] * copies)
+    values.extend([2 ** (t - 1)] * (copies // 2))
+    return values
+
+
+def _residues_odd_quotient(s: int, k: int, t: int) -> list[int]:
+    # q = 2 and s/2^t odd: every odd residue once, every even one s/2^t - 1
+    # times, and the midpoint 2^t half as often.
+    copies = s // 2**t - 1
+    values = [0] * ((copies - (s - 2 * k)) // 2)
+    for j in range(2 ** (t - 1)):
+        values.append(2 * j + 1)
+    for j in range(1, 2 ** (t - 1)):
+        values.extend([2 * j] * copies)
+    values.extend([2**t] * (copies // 2))
+    return values
+
+
+def paper_residues(s, k, q, t):
+    """The modulus and sorted residues of prime power q^t of N, by the paper's three cases."""
+    if q > 2:
+        return q**t, sorted(_residues_odd_prime(s, k, q, t))
+    if (s // 2**t) % 2 == 0:
+        return 2 ** (t + 1), sorted(_residues_even_quotient(s, k, t))
+    return 2 ** (t + 1), sorted(_residues_odd_quotient(s, k, t))

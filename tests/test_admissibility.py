@@ -28,7 +28,7 @@ from cyclotile.tiling import (
     construct_tiling_prime_power,
     multitiling_exists,
 )
-from reference import is_prime_power
+from reference import is_prime_power, paper_residues
 
 
 def test_param_triple():
@@ -192,12 +192,16 @@ def test_prime_power_sum_decision_matches_is_prime_power():
         assert row["prime_power_sum"] == is_prime_power(row["b"] + row["c"]), row
 
 
-def test_a_table_factorizes_once_per_row(monkeypatch):
-    # each row's N, in its admissibility verdict, which also decides the prime-power sum
+def test_a_table_factorizes_once_per_sum_and_gcd(monkeypatch):
+    # rows with one b + c and one gcd(b, c) share N and so its admissibility verdict, which
+    # also decides the prime-power sum: N is factorized at the first such row
     calls = count_factorize(monkeypatch)
     rows = _table_rows(3, 40)
-    assert len(rows) == 780 and len(calls) == 780
-    assert calls == [ParamTriple(row["b"], row["c"], 3).reduced_sum for row in rows]
+    firsts = {}
+    for row in rows:
+        firsts.setdefault((row["b"] + row["c"], math.gcd(row["b"], row["c"])), row["N"])
+    assert len(rows) == 780 and len(calls) == len(firsts) == 118
+    assert calls == list(firsts.values())
 
 
 def test_graph_condition_huge_distance():
@@ -397,6 +401,22 @@ def test_witness_document_shape():
     bare = witness_to_document(construct_distances(ParamTriple(5, 7, 6)))
     assert "colors" not in bare
     assert bare["construction"]["per_prime"][0]["q"] == 2
+
+
+def test_residues_match_the_paper_cases():
+    # the one half-range rule against the paper's three cases, at the least admissible k,
+    # a little above it and at b + c
+    for s in range(2, 161):
+        for b in range(1, s):
+            prime_powers = check_admissible(ParamTriple(b, s - b, 1)).prime_powers
+            least = max(1, max((s - s // q**t + 1) // 2 for q, t in prime_powers))
+            for k in (least, least + 1, least + 2, s):
+                params = ParamTriple(b, s - b, k)
+                assert check_admissible(params)
+                got = admissibility._per_prime_residues(params, prime_powers)
+                assert [(pp.q, pp.t) for pp in got] == list(prime_powers)
+                assert [(pp.modulus, list(pp.residues)) for pp in got] == [
+                    paper_residues(s, k, q, t) for q, t in prime_powers], params
 
 
 def test_residue_multiset_multiplicities():

@@ -37,9 +37,9 @@ CASES = [
     (ParamTriple, dict(b=2, c=6, k=3)),
     (Violation, dict(q=2, t=3, bound=5)),
     (AdmissibilityVerdict, dict(prime_powers=((2, 3),), violations=(Violation(2, 3, 5),))),
-    (PerPrimeResidues, dict(q=2, t=3, modulus=16, residues=(1, 1, 2))),
+    (PerPrimeResidues, dict(q=2, t=3, residues=(1, 1, 2))),
     (ConstructionWitness, dict(params=ParamTriple(2, 6, 3), spec=CirculantSpec(8, (1, 1, 10)),
-                               per_prime_residues=(PerPrimeResidues(2, 2, 8, (1, 1, 2)),),
+                               per_prime_residues=(PerPrimeResidues(2, 2, (1, 1, 2)),),
                                coloring=Coloring("BBBWBBBW", 2, 6))),
     (SearchReport, dict(found=(Coloring("BWBW", 2, 1),), exhausted=True, states_examined=16)),
 ]
@@ -83,7 +83,7 @@ def test_types_with_equal_fields_are_unequal():
 
 
 def test_derived_flags_are_properties_not_fields():
-    # admissible and exact are read off a field, so they take no part in repr, == or hash
+    # admissible, exact and modulus are read off fields, so they take no part in repr, == or hash
     admissible = AdmissibilityVerdict(((2, 3),), ())
     refused = AdmissibilityVerdict(((2, 3),), (Violation(2, 3, 5),))
     assert admissible.admissible and admissible and not refused.admissible and not refused
@@ -96,7 +96,11 @@ def test_derived_flags_are_properties_not_fields():
     assert not verdict.exact and "exact" not in repr(verdict)
     assert verdict == ExistenceVerdict(True, SPECTRUM)
     assert hash(verdict) == hash((True, SPECTRUM))
-    for value, name in ((admissible, "admissible"), (verdict, "exact")):
+    odd, even = PerPrimeResidues(3, 2, (0, 1)), PerPrimeResidues(2, 2, (1, 1, 2))
+    assert (odd.modulus, even.modulus) == (9, 8)  # q^t for odd q, 2^(t+1) for q = 2
+    assert "modulus" not in repr(even) and even == PerPrimeResidues(2, 2, (1, 1, 2))
+    assert hash(even) == hash((2, 2, (1, 1, 2)))
+    for value, name in ((admissible, "admissible"), (verdict, "exact"), (even, "modulus")):
         assert isinstance(getattr(type(value), name), property)
         with pytest.raises(AttributeError):
             setattr(value, name, True)
