@@ -18,7 +18,6 @@ from math import gcd
 from .arith import crt_basis, factorize
 from .coloring import (
     CirculantSpec,
-    Coloring,
     build_document,
     is_perfect_coloring,
     structured_tile,
@@ -40,9 +39,7 @@ class ParamTriple(Record):
     def __init__(self, b: int, c: int, k: int):
         if b < 1 or c < 1 or k < 1:
             raise ValueError("b, c and k must all be positive")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k", k)
+        super().__init__(b, c, k)
 
     @property
     def color_sum(self) -> int:
@@ -59,21 +56,11 @@ class Violation(Record):
 
     __slots__ = ("q", "t", "bound")
 
-    def __init__(self, q: int, t: int, bound: int):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "bound", bound)
-
 
 class AdmissibilityVerdict(Record):
     """The prime powers (q, t) of N = (b+c)/gcd(b, c), ascending, and the failed ones."""
 
     __slots__ = ("prime_powers", "violations")
-
-    def __init__(self, prime_powers: tuple[tuple[int, int], ...],
-                 violations: tuple[Violation, ...]):
-        object.__setattr__(self, "prime_powers", prime_powers)
-        object.__setattr__(self, "violations", violations)
 
     @property
     def admissible(self) -> bool:
@@ -97,11 +84,6 @@ class PerPrimeResidues(Record):
 
     __slots__ = ("q", "t", "residues")
 
-    def __init__(self, q: int, t: int, residues: tuple[int, ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "residues", residues)
-
     @property
     def modulus(self) -> int:
         """The residues live modulo q^t for odd q and modulo 2^(t+1) for q = 2."""
@@ -109,14 +91,9 @@ class PerPrimeResidues(Record):
 
 
 class ConstructionWitness(Record):
-    __slots__ = ("params", "spec", "per_prime_residues", "coloring")
+    """The triple, the constructed graph, its per-prime residues and the colouring, or None."""
 
-    def __init__(self, params: ParamTriple, spec: CirculantSpec,
-                 per_prime_residues: tuple[PerPrimeResidues, ...], coloring: Coloring | None):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "per_prime_residues", per_prime_residues)
-        object.__setattr__(self, "coloring", coloring)
+    __slots__ = ("params", "spec", "per_prime_residues", "coloring")
 
 
 def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:

@@ -42,8 +42,7 @@ class CirculantSpec(Record):
             raise ValueError("at least one distance is required")
         if any(l < 0 for l in distances):
             raise ValueError("distances must be nonnegative")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "distances", distances)
+        super().__init__(modulus, distances)
 
     @property
     def k(self) -> int:
@@ -79,9 +78,7 @@ class Coloring(Record):
             raise ValueError("colors must be a string over B and W")
         if b < 1 or c < 1:
             raise ValueError("parameters b and c must be positive")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        super().__init__(colors, b, c)
 
     @property
     def modulus(self) -> int:

@@ -112,20 +112,22 @@ def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
 class DivisorSpectrum(Record):
     """Which cyclotomic polynomials with index dividing P divide a given mask.
 
-    primes are the distinct primes of P, ascending. prime_power_product,
-    the value at 1 of the prime-power part, is the product of p over each
-    Phi_{p^j} in it.
+    primes are the distinct primes of P, ascending, and divisors the n | P
+    whose Phi_n divides the mask; the prime-power part is read off both.
     """
 
-    __slots__ = ("modulus", "primes", "divisors", "prime_power_subset", "prime_power_product")
+    __slots__ = ("modulus", "primes", "divisors")
 
-    def __init__(self, modulus: int, primes: tuple[int, ...], divisors: frozenset[int],
-                 prime_power_subset: frozenset[int], prime_power_product: int):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "prime_power_subset", prime_power_subset)
-        object.__setattr__(self, "prime_power_product", prime_power_product)
+    @property
+    def prime_power_subset(self) -> frozenset[int]:
+        """The divisors p^j, j >= 1, of one prime p of P: the Phi_{p^j} of the spectrum."""
+        return frozenset([p**j for p in self.primes for j in range(1, self.modulus.bit_length())
+                          if p**j in self.divisors])
+
+    @property
+    def prime_power_product(self) -> int:
+        """The value at 1 of the prime-power part: the product of p over each Phi_{p^j} in it."""
+        return math.prod([p for p in self.primes for n in self.prime_power_subset if n % p == 0])
 
     def cofactor(self) -> list[int]:
         """(x^P - 1) / ((x - 1) d) as its P coefficients, d the product of the divisors.
@@ -156,8 +158,7 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     P out in ascending order reaches every divisor exactly once, so the
     work is at most sigma(P) times one more than the number of primes of
     P coefficient operations, and the folds kept at any time hold at
-    most about 2P coefficients. The walk knows the primes of each n, so it
-    multiplies up the prime-power product with no factorization per divisor.
+    most about 2P coefficients.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -167,22 +168,18 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
     primes = tuple(p for p, _ in factorize(modulus))
-    hits, prime_powers, product = [], [], 1
+    hits = []
     # (n, the fold that n's fold is added up from, index of the last prime divided out)
     pending = [(modulus, top, 0)]
     while pending:
         n, outer, first = pending.pop()
         fold = _fold(outer, n)
-        own = [p for p in primes if n % p == 0]
-        if _vanishes_at_primitive_roots(fold, own):
+        if _vanishes_at_primitive_roots(fold, [p for p in primes if n % p == 0]):
             hits.append(n)
-            if len(own) == 1:
-                prime_powers.append(n)
-                product *= own[0]
         # divide out primes from the last one divided out onwards, never an earlier one
         pending.extend((n // primes[i], fold, i)
                        for i in range(first, len(primes)) if n % primes[i] == 0)
-    return DivisorSpectrum(modulus, primes, frozenset(hits), frozenset(prime_powers), product)
+    return DivisorSpectrum(modulus, primes, frozenset(hits))
 
 
 def _fold(values: list[int], n: int) -> list[int]:

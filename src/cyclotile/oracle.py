@@ -48,11 +48,6 @@ class SearchReport(Record):
 
     __slots__ = ("found", "exhausted", "states_examined")
 
-    def __init__(self, found: tuple[Coloring, ...], exhausted: bool, states_examined: int):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "exhausted", exhausted)
-        object.__setattr__(self, "states_examined", states_examined)
-
 
 def _colors_of(mask: int, modulus: int) -> str:
     return "".join(BLACK if (mask >> g) & 1 else WHITE for g in range(modulus))
@@ -142,9 +137,7 @@ def _covers(u: Tile, m: int, max_states: int | None = None):
         return
     else:
         weight = p * m // u_sum
-    support = [(d, a) for d, a in enumerate(u.values) if a]
-    rows = [{(g - d) % p: a for d, a in support} for g in range(p)]
-    yield from _walk(rows, m, weight, max_states)
+    yield from _walk(u.values, m, weight, max_states)
 
 
 def _planes(row, full: int, bits: tuple[int, ...]) -> tuple[list[int], int]:
@@ -206,34 +199,36 @@ def _block(width: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return full, bits, tuple(_level(planes, full, j) for j in range(width + 1))
 
 
-def _walk(rows: list[dict[int, int]], target: int, weight: int | None, max_states: int | None = None):
-    """The P-bit masks v, ascending, with sum over h of rows[g][h] * v_h == target at every g.
+def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: int | None = None):
+    """The P-bit masks v, ascending, with sum over h of values[g - h] * v_h == target at every g.
 
-    Only masks with weight ones are classified (every mask when weight
-    is None). The walk takes the 2^B masks that share their high bits
-    P-1 ... B (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one
-    int, and classifies the whole block at once. The low bits' share of
-    a vertex's sum is counted once per call into a few bit planes over
-    the block (_planes); in a block the high bits add a constant, so the
-    block's masks that satisfy a vertex are the low parts whose planes
-    spell target minus that constant. Each vertex keeps those sets in a
-    dict local to the call, filled on a first look-up, and costs a
-    block a popcount per distinct high weight, a look-up and an AND.
-    The blocks step from one high part to the next whose popcount
-    leaves room for weight ones. With max_states, raises
-    SearchSpaceTooLarge after yielding the hits among the first
-    max_states masks classified, if there are more to classify.
+    Only masks with weight ones are classified (every mask when weight is None).
+    The walk takes the 2^B masks that share their high bits P-1 ... B
+    (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one int,
+    and classifies the whole block at once. The low bits' share of a vertex's
+    sum is counted once per call into a few bit planes over the block (_planes);
+    in a block the high bits add a constant, so the block's masks that satisfy a
+    vertex are the low parts whose planes spell target minus that constant.
+    Vertex g's row, values[d] on bit (g - d) mod P, is built when the walk
+    prepares g, so one row is held at a time. Each vertex keeps those sets in a
+    dict local to the call, filled on a first look-up, and costs a block a
+    popcount per distinct high weight, a look-up and an AND. The blocks step
+    from one high part to the next whose popcount leaves room for weight ones.
+    With max_states, raises SearchSpaceTooLarge after yielding the hits among
+    the first max_states masks classified, if there are more to classify.
     """
-    p = len(rows)
+    p = len(values)
     width = min(BLOCK_BITS, p)
     full, bits, classes = _block(width)
+    support = [(d, a) for d, a in enumerate(values) if a]
     vertices = []
-    for row in rows:
+    for g in range(p):
+        row = [((g - d) % p, a) for d, a in support]
         by_weight: dict[int, int] = {}  # weight a -> the high bits with that weight
-        for h, a in row.items():
+        for h, a in row:
             if h >= width:
                 by_weight[a] = by_weight.get(a, 0) | 1 << (h - width)
-        planes, offset = _planes([(h, a) for h, a in row.items() if h < width], full, bits)
+        planes, offset = _planes([(h, a) for h, a in row if h < width], full, bits)
         # high total -> the low parts meeting the target with it
         vertices.append((tuple(by_weight.items()), planes, target + offset, {}))
     blocks = 1 << (p - width)

@@ -22,7 +22,7 @@ class IntPolynomial(Record):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        super().__init__(tuple(coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs

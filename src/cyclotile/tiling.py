@@ -13,7 +13,7 @@ the 0/1 prime-power one is a sum of two digit sets.
 
 from __future__ import annotations
 
-from .cyclotomic import DivisorSpectrum, divisor_spectrum
+from .cyclotomic import divisor_spectrum
 from .errors import (
     ModulusMismatch,
     MultiplicityOutOfRange,
@@ -32,7 +32,7 @@ class Tile(Record):
         values = tuple(values)
         if not values:
             raise ValueError("a tile needs at least one value")
-        object.__setattr__(self, "values", values)
+        super().__init__(values)
 
     @property
     def modulus(self) -> int:
@@ -47,10 +47,6 @@ class ExistenceVerdict(Record):
 
     __slots__ = ("passed", "spectrum")
 
-    def __init__(self, passed: bool, spectrum: DivisorSpectrum | None):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "spectrum", spectrum)
-
     @property
     def exact(self) -> bool:
         """True on a prime-power group order, the one construct_tiling_prime_power accepts."""
@@ -64,10 +60,6 @@ class MultitilingWitness(Record):
     """A constructed m-multitiling, R times the spectrum's cofactor, and its constant R."""
 
     __slots__ = ("tile", "multiplier")
-
-    def __init__(self, tile: Tile, multiplier: int):
-        object.__setattr__(self, "tile", tile)
-        object.__setattr__(self, "multiplier", multiplier)
 
 
 def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
@@ -151,7 +143,7 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
         (chosen_places if divides else other_places).append(place)
         place *= base
     chosen = _digit_set(base, chosen_places)
-    count = multiplicity * verdict.spectrum.prime_power_product // mask_sum
+    count = multiplicity * len(chosen) // mask_sum  # |D_S| = p^|S|, the prime-power product
     if count > len(chosen):
         raise AssertionError("the multiplier needs %d of the %d elements of the digit set"
                              % (count, len(chosen)))

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -280,6 +281,26 @@ def test_search_max_states_is_usage_error(capsys):
                   "--max-states", "5")[0] == 2
     assert invoke(capsys, "search", "--P", "4", "--distances", "1", "--b", "1", "--c", "1",
                   "--max-states", "0")[0] == 2
+
+
+def test_limited_search_at_a_large_order_fits_in_256_mb():
+    # 1000 distances on 4096 vertices: the walk's per-vertex rows alone would take about
+    # 0.5 GB if all were held at once. The child limits its own address space to 256 MB
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from cyclotile.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))")
+    argv = ["search", "--P", "4096", "--distances", ",".join(map(str, range(1, 1001))),
+            "--b", "1", "--c", "1", "--limit", "1", "--max-states", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "max_states" in proc.stderr and "out of memory" not in proc.stderr
+    assert elapsed < 10
 
 
 def test_cyclotomic(capsys):

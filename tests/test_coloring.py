@@ -157,8 +157,10 @@ def test_correspondence_with_tilings():
             for mask in range(1 << p):
                 colors = "".join(BLACK if (mask >> g) & 1 else WHITE for g in range(p))
                 indicator = Tile(tuple((mask >> g) & 1 for g in range(p)))
+                # is_perfect_coloring compares these with (b, c); computed once per mask
+                parameters = perfect_parameters(spec, colors)
                 for (b, c), u in tiles.items():
-                    graph_side = is_perfect_coloring(spec, Coloring(colors, b, c))
+                    graph_side = parameters == (b, c)
                     tile_side = verify_multitiling(u, indicator, c)
                     assert graph_side == tile_side, (p, distances, b, c, colors)
 

@@ -21,7 +21,7 @@ from cyclotile import (
     Violation,
 )
 
-SPECTRUM = DivisorSpectrum(12, (2, 3), frozenset({3, 4, 12}), frozenset({3, 4}), 6)
+SPECTRUM = DivisorSpectrum(12, (2, 3), frozenset({3, 4, 12}))
 
 # every value type with keyword arguments in constructor order, already in canonical form;
 # the fields of one value differ from each other, so that two swapped fields show
@@ -32,8 +32,7 @@ CASES = [
     (Tile, dict(values=(1, 0, -2))),
     (ExistenceVerdict, dict(passed=True, spectrum=SPECTRUM)),
     (MultitilingWitness, dict(tile=Tile((1, 1)), multiplier=3)),
-    (DivisorSpectrum, dict(modulus=12, primes=(2, 3), divisors=frozenset({3, 4, 12}),
-                           prime_power_subset=frozenset({3, 4}), prime_power_product=6)),
+    (DivisorSpectrum, dict(modulus=12, primes=(2, 3), divisors=frozenset({3, 4, 12}))),
     (ParamTriple, dict(b=2, c=6, k=3)),
     (Violation, dict(q=2, t=3, bound=5)),
     (AdmissibilityVerdict, dict(prime_powers=((2, 3),), violations=(Violation(2, 3, 5),))),
@@ -83,13 +82,14 @@ def test_types_with_equal_fields_are_unequal():
 
 
 def test_derived_flags_are_properties_not_fields():
-    # admissible, exact and modulus are read off fields, so they take no part in repr, == or hash
+    # admissible, exact, modulus and the spectrum's prime-power part are read off fields,
+    # so they take no part in repr, == or hash
     admissible = AdmissibilityVerdict(((2, 3),), ())
     refused = AdmissibilityVerdict(((2, 3),), (Violation(2, 3, 5),))
     assert admissible.admissible and admissible and not refused.admissible and not refused
     assert repr(admissible) == "AdmissibilityVerdict(prime_powers=((2, 3),), violations=())"
     assert hash(admissible) == hash((((2, 3),), ()))
-    prime_power = DivisorSpectrum(8, (2,), frozenset({8}), frozenset({8}), 2)
+    prime_power = DivisorSpectrum(8, (2,), frozenset({8}))
     assert ExistenceVerdict(True, prime_power).exact
     assert ExistenceVerdict(False, None).exact is False  # a zero mask has no spectrum
     verdict = ExistenceVerdict(True, SPECTRUM)
@@ -100,7 +100,43 @@ def test_derived_flags_are_properties_not_fields():
     assert (odd.modulus, even.modulus) == (9, 8)  # q^t for odd q, 2^(t+1) for q = 2
     assert "modulus" not in repr(even) and even == PerPrimeResidues(2, 2, (1, 1, 2))
     assert hash(even) == hash((2, 2, (1, 1, 2)))
-    for value, name in ((admissible, "admissible"), (verdict, "exact"), (even, "modulus")):
+    # Phi_3 and Phi_4 are the prime-power part of Phi_3 Phi_4 Phi_12, worth 3 * 2 at 1
+    assert SPECTRUM.prime_power_subset == frozenset({3, 4}) and SPECTRUM.prime_power_product == 6
+    assert (prime_power.prime_power_subset, prime_power.prime_power_product) == (frozenset({8}), 2)
+    assert "prime_power" not in repr(SPECTRUM)
+    assert hash(SPECTRUM) == hash((12, (2, 3), frozenset({3, 4, 12})))
+    for value, name in ((admissible, "admissible"), (verdict, "exact"), (even, "modulus"),
+                        (SPECTRUM, "prime_power_subset"), (SPECTRUM, "prime_power_product")):
         assert isinstance(getattr(type(value), name), property)
         with pytest.raises(AttributeError):
             setattr(value, name, True)
+
+
+def test_a_subclass_without_slots_keeps_its_fields():
+    # the field list comes from every class that declares slots, not from the subclass's own ()
+    sub = type("Sub", (Coloring,), {"__slots__": ()})
+    one, other = sub("BW", 1, 1), sub("WB", 2, 2)
+    assert one != other and hash(one) == hash(("BW", 1, 1)) != hash(other)
+    assert repr(one) == "Sub(colors='BW', b=1, c=1)"
+    assert copy.deepcopy(one) == one and copy.copy(other) == other
+    plain = type("Plain", (Violation,), {"__slots__": ()})
+    assert plain(q=2, t=3, bound=5) == plain(2, 3, 5) != plain(2, 3, 6)
+    assert repr(plain(2, 3, 5)) == "Plain(q=2, t=3, bound=5)"
+
+
+@pytest.mark.parametrize("cls, kwargs", CASES, ids=[cls.__name__ for cls, _ in CASES])
+def test_the_constructor_takes_exactly_the_fields(cls, kwargs):
+    values = list(kwargs.values())
+    *first, last = kwargs
+    if cls is not IntPolynomial:  # IntPolynomial() is the zero polynomial
+        with pytest.raises(TypeError):
+            cls(*values[:-1])  # a missing field
+        with pytest.raises(TypeError):
+            cls(**{name: kwargs[name] for name in first})
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])  # an extra positional argument
+    with pytest.raises(TypeError):
+        cls(**kwargs, unknown_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{last: kwargs[last]})  # a field given twice
+    assert cls(*values[:-1], **{last: kwargs[last]}) == cls(*values)
