@@ -19,10 +19,15 @@ degree below P, so it is the power series of (1 - x)^-1 times each
 Phi_n^-1, truncated at length P (DivisorSpectrum.cofactor). No
 polynomial is multiplied or divided.
 
-The divisor spectrum needs none of these polynomials: whether Phi_n
-divides a mask is decided on the mask's fold modulo x^n - 1 by cyclic
-shifts and subtractions alone. cyclotomic_divides, by long division,
-stays as the direct test.
+The divisor spectrum needs none of these polynomials. Take F a mask
+folded modulo x^n - 1, p_1 < ... < p_r the primes of n, s = n/p_r and G
+= F (x^(n/p_1) - 1) ... (x^(n/p_(r-1)) - 1). G (x^s - 1) vanishes at each
+n-th root of unity that is not primitive, so, x^n - 1 being squarefree,
+it is zero modulo x^n - 1 exactly when Phi_n divides F (Lam and Leung,
+J. Algebra 2000); and that says G has cyclic period s, which as s | n is
+G[s:] == G[:-s]. So Phi_n | F takes r - 1 shift-and-subtract passes and
+one comparison, and no pass at a prime-power n. cyclotomic_divides, by
+long division, stays as the direct test.
 """
 
 from __future__ import annotations
@@ -127,7 +132,14 @@ class DivisorSpectrum(Record):
     @property
     def prime_power_product(self) -> int:
         """The value at 1 of the prime-power part: the product of p over each Phi_{p^j} in it."""
-        return math.prod([p for p in self.primes for n in self.prime_power_subset if n % p == 0])
+        product = 1
+        for p in self.primes:
+            power = p
+            while self.modulus % power == 0:
+                if power in self.divisors:
+                    product *= p
+                power *= p
+        return product
 
     def cofactor(self) -> list[int]:
         """(x^P - 1) / ((x - 1) d) as its P coefficients, d the product of the divisors.
@@ -150,15 +162,14 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     The mask f is folded modulo x^P - 1 first, by adding its blocks of
     length P, so P values, as a tile has, are only copied. A modulus
     below 1 is a ValueError, and a mask that folds to zero has every
-    answer trivially yes and is rejected as ZeroMask. No Phi_n is
-    built and nothing is divided. For each n | P the fold of f modulo
-    x^n - 1 (which Phi_n divides, so no answer changes) is tested by
-    _vanishes_at_primitive_roots, and the fold for n comes from the fold
-    for n * p by adding its p blocks of length n. Dividing the primes of
-    P out in ascending order reaches every divisor exactly once, so the
-    work is at most sigma(P) times one more than the number of primes of
-    P coefficient operations, and the folds kept at any time hold at
-    most about 2P coefficients.
+    answer trivially yes and is rejected as ZeroMask. No Phi_n is built
+    and nothing is divided. For each n | P the fold F of f modulo
+    x^n - 1, which Phi_n divides, is added up from the fold for n * p;
+    dividing the primes of P out in ascending order reaches every n
+    once, and the folds kept hold at most about 2P coefficients. Phi_n | F
+    is the periodicity G[s:] == G[:-s] of the module docstring, or f(1) = 0
+    at n = 1: with r primes of n, r - 1 passes and one comparison, so at
+    a prime-power P the walk is folds and comparisons with no pass.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -168,17 +179,24 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
     primes = tuple(p for p, _ in factorize(modulus))
-    hits = []
+    hits = [] if sum(top) else [1]  # Phi_1 = x - 1 divides f when f(1) = 0
     # (n, the fold that n's fold is added up from, index of the last prime divided out)
     pending = [(modulus, top, 0)]
     while pending:
         n, outer, first = pending.pop()
         fold = _fold(outer, n)
-        if _vanishes_at_primitive_roots(fold, [p for p in primes if n % p == 0]):
-            hits.append(n)
-        # divide out primes from the last one divided out onwards, never an earlier one
-        pending.extend((n // primes[i], fold, i)
-                       for i in range(first, len(primes)) if n % primes[i] == 0)
+        shifts = []
+        for i, p in enumerate(primes):
+            if n % p == 0:
+                shifts.append(n // p)
+                if i >= first and n > p:  # never an earlier prime, and n = 1 is decided above
+                    pending.append((n // p, fold, i))
+        if shifts:
+            period, product = shifts.pop(), fold
+            for shift in shifts:  # a[i] <- a[i - shift] - a[i], cyclically
+                product = list(map(sub, product[-shift:] + product[:-shift], product))
+            if product[period:] == product[:-period]:
+                hits.append(n)
     return DivisorSpectrum(modulus, primes, frozenset(hits))
 
 
@@ -188,23 +206,3 @@ def _fold(values: list[int], n: int) -> list[int]:
     for start in range(n, len(values), n):
         fold = list(map(add, fold, values[start:start + n]))
     return fold
-
-
-def _vanishes_at_primitive_roots(fold: list[int], primes: list[int]) -> bool:
-    """Whether Phi_n divides the fold F of a mask modulo x^n - 1, n = len(F).
-
-    primes are the primes of n. F is multiplied modulo x^n - 1 by
-    x^(n/p) - 1 for each of them, one cyclic shift-and-subtract pass
-    a[i] <- a[i - n/p] - a[i] each; that product vanishes at every
-    n-th root of unity that is not primitive and at none that is. Since
-    x^n - 1 is squarefree, the result is zero exactly when F vanishes at
-    every primitive n-th root, that is when Phi_n divides F (Lam and
-    Leung, On vanishing sums of roots of unity, J. Algebra 2000).
-    """
-    if not any(fold):
-        return True
-    n = len(fold)
-    for p in primes:
-        shift = n // p
-        fold = list(map(sub, fold[-shift:] + fold[:-shift], fold))
-    return not any(fold)

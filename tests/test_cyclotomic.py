@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -268,6 +269,25 @@ def test_spectrum_membership_matches_division():
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_spectrum_matches_division_on_every_small_mask():
+    # every nonzero 0/1 mask with P <= 12 and every {-1, 0, 1} mask with P <= 7, each n | P
+    # (n = 1 included) against the remainder of dividing the fold modulo x^n - 1 by Phi_n
+    masks = [(p, mask) for p in range(1, 13) for mask in itertools.product((0, 1), repeat=p)]
+    masks += [(p, mask) for p in range(1, 8) for mask in itertools.product((-1, 0, 1), repeat=p)]
+    checks = 0
+    for p, mask in masks:
+        if not any(mask):
+            continue
+        spec = divisor_spectrum(mask, p)
+        for n in _divisors(p):
+            _, rem = poly_divmod(IntPolynomial(cyclic_fold(mask, n)), cyclotomic(n))
+            assert (n in spec.divisors) == rem.is_zero(), (p, mask, n)
+            checks += 1
+        powers = [n for n in spec.divisors if is_prime_power(n)]
+        assert spec.prime_power_product == math.prod(factorize(n)[0][0] for n in powers), (p, mask)
+    assert checks == 44021
 
 
 @st.composite
