@@ -2,9 +2,14 @@
 
 Every subcommand prints one JSON payload (or CSV for the table) on
 standard output and reserves standard error for diagnostics. Exit code 0
-means the requested check passed or the object was produced, 1 means a
-negative mathematical verdict, 2 means the invocation itself was bad,
-and 3 means an internal invariant failed, which is a bug in cyclotile.
+means the requested check passed, the object was produced or help was
+printed, 1 means a negative mathematical verdict, 2 means the invocation
+itself was bad, and 3 means an internal invariant failed, which is a bug
+in cyclotile.
+
+argv is checked against one table, GRAMMAR, from which the help and usage
+lines are also written; argparse is not imported, since every cold process
+would pay for it.
 
 Handlers decide nothing the library decides: `construct` reads admissibility
 and the route from the one construction it calls, `table` reads admissibility
@@ -14,9 +19,9 @@ and whether b + c is a prime power from each row's verdict, and every N is
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 # Each handler imports what it calls, so a cold process loads only the modules
 # its subcommand needs: verifying a colouring never loads the algebra.
@@ -31,9 +36,9 @@ def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        raise ValueError("expected an integer, got %r" % text)
     if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % value)
+        raise ValueError("expected a positive integer, got %s" % value)
     return value
 
 
@@ -41,11 +46,17 @@ def _distance_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             "expected a comma-separated list of integers, got %r" % text)
     if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError("distances must be nonnegative")
+        raise ValueError("distances must be nonnegative")
     return values
+
+
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError("invalid choice: %r (choose from 'csv', 'json')" % text)
+    return text
 
 
 def _emit(payload: dict) -> None:
@@ -61,7 +72,7 @@ def _admissibility_payload(verdict) -> dict:
     }
 
 
-def _cmd_params_check(args: argparse.Namespace) -> int:
+def _cmd_params_check(args: SimpleNamespace) -> int:
     from .admissibility import ParamTriple, check_admissible
 
     verdict = check_admissible(ParamTriple(args.b, args.c, args.k))
@@ -69,7 +80,7 @@ def _cmd_params_check(args: argparse.Namespace) -> int:
     return 0 if verdict.admissible else 1
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     from .admissibility import (
         ParamTriple,
         construct_distances,
@@ -92,7 +103,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .coloring import Coloring, is_perfect_coloring, parse_document
 
     with open(args.file, "r", encoding="utf-8") as handle:
@@ -124,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verdict.passed else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     from .coloring import CirculantSpec
     from .oracle import search_colorings
 
@@ -144,7 +155,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if report.found else 1
 
 
-def _cmd_cyclotomic(args: argparse.Namespace) -> int:
+def _cmd_cyclotomic(args: SimpleNamespace) -> int:
     from .cyclotomic import cyclotomic
 
     poly = cyclotomic(args.n)
@@ -152,7 +163,7 @@ def _cmd_cyclotomic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: SimpleNamespace) -> int:
     from .admissibility import ParamTriple, check_graph_condition
     from .coloring import CirculantSpec
 
@@ -207,7 +218,7 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
     return rows
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     import csv
 
     rows = _table_rows(args.k, args.max_sum)
@@ -227,76 +238,135 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclotile",
-        description="perfect 2-colourings of circulant graphs via polynomial tilings")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an argument that must be given
 
-    params = sub.add_parser("params", help="parameter-level checks")
-    params_sub = params.add_subparsers(dest="subcommand", required=True)
-    check = params_sub.add_parser("check", help="test (b, c, k) for admissibility")
-    check.add_argument("--b", type=_positive, required=True)
-    check.add_argument("--c", type=_positive, required=True)
-    check.add_argument("--k", type=_positive, required=True)
-    check.set_defaults(handler=_cmd_params_check)
+# One argument: the name it is given by, with its value's placeholder when it takes one
+# (an option's name begins with --), its converter (None for a flag), its default
+# (_REQUIRED when it must be given) and its help text.
+_B = ("--b B", _positive, _REQUIRED, "White neighbours of each Black vertex")
+_C = ("--c C", _positive, _REQUIRED, "Black neighbours of each White vertex")
+_K = ("--k K", _positive, _REQUIRED, "number of distances; the graph has degree 2k")
+_P = ("--P P", _positive, _REQUIRED, "number of vertices, the group order")
+_DISTANCES = ("--distances DISTANCES", _distance_list, _REQUIRED,
+              "comma-separated distances, such as 1,2")
 
-    construct = sub.add_parser(
-        "construct", help="build a graph and colouring realizing (b, c) with k distances")
-    construct.add_argument("--b", type=_positive, required=True)
-    construct.add_argument("--c", type=_positive, required=True)
-    construct.add_argument("--k", type=_positive, required=True)
-    construct.add_argument(
-        "--multitiling-only", action="store_true",
-        help="emit only the distance certificate, no colour vector")
-    construct.set_defaults(handler=_cmd_construct)
+# Command words -> (help, arguments). The words name the handler: ("params", "check")
+# runs _cmd_params_check, looked up when the command runs.
+GRAMMAR = {
+    ("params", "check"): ("test (b, c, k) for admissibility", (_B, _C, _K)),
+    ("construct",): ("build a graph and colouring realizing (b, c) with k distances", (
+        _B, _C, _K, ("--multitiling-only", None, False,
+                     "emit only the distance certificate, no colour vector"))),
+    ("verify",): ("check a JSON document produced by construct", (
+        ("file", str, _REQUIRED, "path to the JSON document"),)),
+    ("search",): ("brute-force search for perfect colourings", (
+        _P, _DISTANCES, _B, _C, ("--limit LIMIT", _positive, None, "stop after this many colourings"),
+        ("--max-states MAX_STATES", _positive, None,
+         "give up (exit 2) after classifying this many states; default 2^24"))),
+    ("cyclotomic",): ("print one cyclotomic polynomial", (
+        ("n", _positive, _REQUIRED, "the index n of Phi_n"),)),
+    ("spectrum",): ("cyclotomic divisor spectrum of a graph's structured tile",
+                    (_P, _DISTANCES, _B, _C)),
+    ("table",): ("admissibility grid for one k", (
+        _K, ("--max-sum MAX_SUM", _positive, _REQUIRED, "largest b + c to include"),
+        ("--format FORMAT", _format, "csv", "csv or json; default csv"))),
+}
 
-    verify = sub.add_parser("verify", help="check a JSON document produced by construct")
-    verify.add_argument("file", help="path to the JSON document")
-    verify.set_defaults(handler=_cmd_verify)
 
-    search = sub.add_parser("search", help="brute-force search for perfect colourings")
-    search.add_argument("--P", type=_positive, required=True)
-    search.add_argument("--distances", type=_distance_list, required=True)
-    search.add_argument("--b", type=_positive, required=True)
-    search.add_argument("--c", type=_positive, required=True)
-    search.add_argument("--limit", type=_positive, default=None,
-                        help="stop after this many colourings")
-    search.add_argument("--max-states", type=_positive, default=None,
-                        help="give up (exit 2) after classifying this many states;"
-                             " default 2^24")
-    search.set_defaults(handler=_cmd_search)
+def _is_option(token: str) -> bool:
+    # as argparse reads a token: "-" and negative integers are values
+    return token[:1] == "-" and token != "-" and not token[1:].isdigit()
 
-    cyc = sub.add_parser("cyclotomic", help="print one cyclotomic polynomial")
-    cyc.add_argument("n", type=_positive)
-    cyc.set_defaults(handler=_cmd_cyclotomic)
 
-    spectrum = sub.add_parser(
-        "spectrum", help="cyclotomic divisor spectrum of a graph's structured tile")
-    spectrum.add_argument("--P", type=_positive, required=True)
-    spectrum.add_argument("--distances", type=_distance_list, required=True)
-    spectrum.add_argument("--b", type=_positive, required=True)
-    spectrum.add_argument("--c", type=_positive, required=True)
-    spectrum.set_defaults(handler=_cmd_spectrum)
+def _usage(words: tuple | None) -> str:
+    if words is None:
+        return "usage: cyclotile [-h] <command> [<arguments>]"
+    return " ".join(["usage: cyclotile", *words, "[-h]"] + [
+        arg[0] if arg[2] is _REQUIRED else "[%s]" % arg[0] for arg in GRAMMAR[words][1]])
 
-    table = sub.add_parser("table", help="admissibility grid for one k")
-    table.add_argument("--k", type=_positive, required=True)
-    table.add_argument("--max-sum", type=_positive, required=True,
-                       help="largest b + c to include")
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.set_defaults(handler=_cmd_table)
 
-    return parser
+def _help(words: tuple | None) -> str:
+    if words is None:
+        about = "perfect 2-colourings of circulant graphs via polynomial tilings\n\ncommands:"
+        rows = [(" ".join(command), text) for command, (text, _) in GRAMMAR.items()]
+    else:
+        about = GRAMMAR[words][0] + "\n\narguments:"
+        rows = [(arg[0], arg[3]) for arg in GRAMMAR[words][1]]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(label) for label, _ in rows) + 2
+    return "%s\n\n%s\n%s" % (_usage(words), about, "".join(
+        "  %-*s%s\n" % (width, label, text) for label, text in rows))
+
+
+def _values(arguments: tuple, tokens: list[str]) -> SimpleNamespace:
+    """The converted arguments of one command; ValueError says what is malformed."""
+    named = {arg[0].split()[0]: arg for arg in arguments}
+    given, loose, tokens = [], [], iter(tokens)  # given: (argument, its text) in argv order
+    for token in tokens:
+        if token == "--":
+            loose.extend(tokens)
+        elif not _is_option(token):
+            loose.append(token)
+        else:
+            name, equals, text = token.partition("=")
+            if name not in named:
+                raise ValueError("unrecognized arguments: %s" % token)
+            if named[name][1] is None and equals:
+                raise ValueError("argument %s: ignored explicit argument %r" % (name, text))
+            if named[name][1] is not None and not equals:
+                text = next(tokens, None)
+                if text is None or _is_option(text):
+                    raise ValueError("argument %s: expected one argument" % name)
+            given.append((named[name], text))
+    positionals = [arg for arg in arguments if arg[0][0] != "-"]
+    if len(loose) > len(positionals):
+        raise ValueError("unrecognized arguments: %s" % " ".join(loose[len(positionals):]))
+    values = {}
+    for arg, text in given + list(zip(positionals, loose)):
+        name = arg[0].split()[0]
+        try:
+            values[name] = True if arg[1] is None else arg[1](text)
+        except ValueError as exc:
+            raise ValueError("argument %s: %s" % (name, exc)) from None
+    missing = [name for name, arg in named.items() if arg[2] is _REQUIRED and name not in values]
+    if missing:
+        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+    return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): values.get(name, arg[2])
+                              for name, arg in named.items()})
+
+
+def _parse(argv: list[str]) -> tuple[tuple, SimpleNamespace] | int:
+    """The command words of argv and its arguments, checked against GRAMMAR.
+
+    Options are spelled in full, as `--name value` or `--name=value`. A repeated option
+    keeps its last value, and every token after `--` is positional. Help, asked for by
+    `-h` or `--help` anywhere before `--`, goes to stdout and a usage error to stderr;
+    either returns its exit code in place of the parse.
+    """
+    words = next((command for command in GRAMMAR if tuple(argv[:len(command)]) == command), None)
+    rest = argv[len(words or ()):]
+    if {"-h", "--help"} & set(rest[:rest.index("--")] if "--" in rest else rest):
+        print(_help(words), end="")
+        return 0
+    try:
+        if words is None:
+            raise ValueError("%s (choose from %s)" % (
+                "invalid command: %r" % argv[0] if argv else "a command is required",
+                ", ".join(repr(" ".join(command)) for command in GRAMMAR)))
+        return words, _values(GRAMMAR[words][1], rest)
+    except ValueError as exc:
+        print(_usage(words), file=sys.stderr)
+        print("%s: error: %s" % (" ".join(("cyclotile",) + (words or ())), exc), file=sys.stderr)
+        return USAGE_ERROR
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):
+        return parsed
+    words, args = parsed
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else USAGE_ERROR
-    try:
-        return args.handler(args)
+        return globals()["_cmd_" + "_".join(words)](args)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json nested too deeply
         print("cannot read input: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -427,17 +427,48 @@ def test_table_row_cap(capsys):
 
 
 def test_usage_errors(capsys):
-    assert invoke(capsys, )[0] == 2
-    assert invoke(capsys, "bogus")[0] == 2
-    assert invoke(capsys, "params")[0] == 2
-    assert invoke(capsys, "params", "check", "--b", "1", "--c", "1")[0] == 2
-    assert invoke(capsys, "cyclotomic", "zero")[0] == 2
-    assert invoke(capsys, "cyclotomic", "0")[0] == 2
-    assert invoke(capsys, "search", "--P", "4", "--distances", "x", "--b", "1", "--c", "1")[0] == 2
+    # each prints the command's usage line and one error line on stderr, nothing on stdout
+    for argv in ([], ["bogus"], ["params"], ["params", "check", "--b", "1", "--c", "1"],
+                 ["cyclotomic", "zero"], ["cyclotomic", "0"],
+                 ["search", "--P", "4", "--distances", "x", "--b", "1", "--c", "1"],
+                 ["params", "check", "--b", "1", "--c", "1", "--k", "1", "--q", "1"],
+                 ["params", "check", "--b", "1", "--c", "1", "--k"],
+                 ["construct", "--b", "1", "--c", "1", "--k", "1", "--multitiling-only=1"],
+                 ["construct", "--b", "1", "--c", "1", "--k", "1", "extra"],
+                 ["construct", "--b", "1", "--c", "1", "--k", "1", "--multi"],
+                 ["table", "--k", "1", "--max-sum", "3", "--format", "xml"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        usage, error = err.splitlines()
+        prog, reason = error.split(": error: ")
+        assert usage.startswith("usage: %s [-h]" % prog) and reason, argv
 
 
 def test_help_exits_zero(capsys):
-    assert invoke(capsys, "--help")[0] == 0
+    # help goes to stdout and names every command, or every argument of the command asked
+    commands = ["params check", "construct", "verify", "search", "cyclotomic", "spectrum",
+                "table"]
+    for argv, names in ((["--help"], commands), (["-h"], commands),
+                        (["construct", "--help"], ["--b", "--c", "--k", "--multitiling-only"]),
+                        (["params", "check", "-h"], ["--b", "--c", "--k"])):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: cyclotile "), argv
+        assert all(name in out for name in names), argv
+
+
+def test_option_forms_give_the_same_stdout(tmp_path, monkeypatch, capsys):
+    # --name=value reads as --name value, a repeated option keeps its last value, and
+    # every token after -- is positional, even one that begins with a dash
+    spaced = invoke(capsys, "params", "check", "--b", "5", "--c", "3", "--k", "2")
+    assert spaced[0] == 1
+    assert invoke(capsys, "params", "check", "--b=5", "--c=3", "--k=2") == spaced
+    assert invoke(capsys, "params", "check", "--k", "9", "--b", "5", "--c=3", "--k=2") == spaced
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-w.json").write_text(json.dumps(
+        {"version": 1, "P": 4, "distances": [1], "b": 1, "c": 1, "colors": "BBWW"}))
+    code, out, _ = invoke(capsys, "verify", "--", "-w.json")
+    assert code == 0 and json.loads(out)["perfect"] is True
 
 
 def test_verify_of_every_construct_output(tmp_path, capsys):

@@ -118,7 +118,8 @@ DISTANCES = st.lists(st.integers(0, 30) | st.integers(10**6, 10**18), min_size=1
 JUNK = st.lists(st.sampled_from(["params", "check", "construct", "verify", "search",
                                  "cyclotomic", "spectrum", "table", "--b", "--c", "--k",
                                  "--P", "--distances", "--format", "json", "-1", "0", "1",
-                                 "3", "1,2", "--help", "x"]) | st.text(max_size=4), max_size=6)
+                                 "3", "1,2", "--help", "x", "--b=3", "-h", "--multi", "--"])
+                | st.text(max_size=4), max_size=6)
 
 
 @st.composite
