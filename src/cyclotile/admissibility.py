@@ -11,8 +11,6 @@ the inequality: when b + c is a prime power, (b+c)/q^t = gcd(b, c) at the
 one prime of N, so it is then the paper's sufficient bound as well.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .arith import crt_basis, factorize

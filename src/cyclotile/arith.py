@@ -10,8 +10,6 @@ algorithm, BIT 1980). The rho walk has fixed seeds, so every call gives
 the same answer, and all of it is integer arithmetic.
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .errors import InputTooLarge

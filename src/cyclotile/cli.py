@@ -17,8 +17,6 @@ and whether b + c is a prime power from each row's verdict, and every N is
 `ParamTriple.reduced_sum`.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from types import SimpleNamespace
@@ -219,22 +217,18 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
 
 
 def _cmd_table(args: SimpleNamespace) -> int:
-    import csv
-
     rows = _table_rows(args.k, args.max_sum)
     if args.format == "json":
         _emit({"k": args.k, "max_sum": args.max_sum, "rows": rows})
         return 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["b", "c", "k", "N", "admissible", "violating_q", "violating_t",
               "prime_power_sum", "constructive"]
-    writer.writerow(header)
+    # every cell is an int, a bool or None, none of which needs CSV quoting
+    lines = [",".join(header)]
     for row in rows:
-        writer.writerow([
-            "" if row[key] is None else
-            ("true" if row[key] is True else "false" if row[key] is False else row[key])
-            for key in header
-        ])
+        lines.append(",".join(["" if row[key] is None else str(row[key]).lower()
+                               for key in header]))
+    print("\n".join(lines))
     return 0
 
 

@@ -9,10 +9,12 @@ exactly c black ones, counted with multiplicity.
 
 The bridge to tilings: colour the support of a 0/1 tile v black. The
 colouring is perfect with parameters (b, c) exactly when v is a
-c-tiling for the structured tile built from the distances and (b, c).
+c-tiling for the structured tile built from the distances and (b, c),
+u = A + (b + c - 2k) at 0, where A counts the jumps +l and -l landing on
+each element. The paper writes it x^M (A(x) + b + c - 2k), M the largest
+distance; on Z/PZ the factor x^M is a unit that changes no divisor
+spectrum and no cover, so it is left out.
 """
-
-from __future__ import annotations
 
 from .errors import InputTooLarge, ModulusMismatch, NotZeroOne
 from .record import Record
@@ -29,7 +31,7 @@ class CirculantSpec(Record):
     """A circulant graph: group order and the multiset of jump distances.
 
     Distances are kept exactly as given, neither reduced mod P nor
-    deduplicated; the max distance below is the max of the raw values.
+    deduplicated.
     """
 
     __slots__ = ("modulus", "distances")
@@ -47,10 +49,6 @@ class CirculantSpec(Record):
     @property
     def k(self) -> int:
         return len(self.distances)
-
-    @property
-    def max_distance(self) -> int:
-        return max(self.distances)
 
     def neighbors(self, vertex: int) -> tuple[int, ...]:
         """The size-2k neighbour multiset of a vertex, as residues."""
@@ -85,25 +83,26 @@ class Coloring(Record):
         return len(self.colors)
 
 
-def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
+def structured_tile(spec: CirculantSpec, b: int, c: int) -> "Tile":
     """The tile whose c-tilings are exactly the (b, c)-perfect colourings.
 
-    Value b + c - 2k is added at M mod P and 1 at each (M + l) mod P and
-    (M - l) mod P, accumulating collisions. The central value may be
-    negative when b + c < 2k; that is fine. Raises InputTooLarge when P
-    exceeds MAX_MODULUS.
+    Value b + c - 2k is added at 0 and 1 at each l mod P and -l mod P,
+    accumulating collisions. The central value may be negative when
+    b + c < 2k; that is fine. The paper's tile x^M (A(x) + b + c - 2k),
+    M the largest distance, is this one rotated by M: on Z/PZ the factor
+    x^M is a unit, so the two have the same spectrum and the same covers.
+    Raises InputTooLarge when P exceeds MAX_MODULUS.
     """
     from .tiling import Tile  # on first use: verifying a colouring needs no tile algebra
 
     p = spec.modulus
     if p > MAX_MODULUS:
         raise InputTooLarge("group order %d is above the cap of %d" % (p, MAX_MODULUS))
-    m = spec.max_distance
     values = [0] * p
-    values[m % p] += b + c - 2 * spec.k
+    values[0] = b + c - 2 * spec.k
     for l in spec.distances:
-        values[(m + l) % p] += 1
-        values[(m - l) % p] += 1
+        values[l % p] += 1
+        values[-l % p] += 1
     return Tile(tuple(values))
 
 
@@ -160,14 +159,14 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
     return (b, c) if b >= 1 and c >= 1 else None
 
 
-def coloring_to_tiling(col: Coloring) -> Tile:
+def coloring_to_tiling(col: Coloring) -> "Tile":
     """Indicator tile of the black class."""
     from .tiling import Tile
 
     return Tile(tuple(1 if ch == BLACK else 0 for ch in col.colors))
 
 
-def tiling_to_coloring(v: Tile, b: int, c: int) -> Coloring:
+def tiling_to_coloring(v: "Tile", b: int, c: int) -> Coloring:
     """Colour the support of a 0/1 tile black; inverse of coloring_to_tiling."""
     if any(value not in (0, 1) for value in v.values):
         raise NotZeroOne("tile values must all be 0 or 1")

@@ -19,7 +19,8 @@ degree below P, so it is the power series of (1 - x)^-1 times each
 Phi_n^-1, truncated at length P (DivisorSpectrum.cofactor). No
 polynomial is multiplied or divided.
 
-The divisor spectrum needs none of these polynomials. Take F a mask
+The divisor spectrum needs none of these polynomials. A mask on Z/PZ
+comes as its P values, so P is their number. Take F the mask
 folded modulo x^n - 1, p_1 < ... < p_r the primes of n, s = n/p_r and G
 = F (x^(n/p_1) - 1) ... (x^(n/p_(r-1)) - 1). G (x^s - 1) vanishes at each
 n-th root of unity that is not primitive, so, x^n - 1 being squarefree,
@@ -29,8 +30,6 @@ G[s:] == G[:-s]. So Phi_n | F takes r - 1 shift-and-subtract passes and
 one comparison, and no pass at a prime-power n. cyclotomic_divides, by
 long division, stays as the direct test.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -46,7 +45,7 @@ MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anythin
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPolynomial:
+def cyclotomic(n: int) -> "IntPolynomial":
     """The n-th cyclotomic polynomial.
 
     Raises InputTooLarge when its degree phi(n) exceeds MAX_DEGREE.
@@ -104,7 +103,7 @@ def _mobius_series(exponents: dict[int, int], length: int) -> list[int]:
     return series
 
 
-def cyclotomic_divides(n: int, f: IntPolynomial) -> bool:
+def cyclotomic_divides(n: int, f: "IntPolynomial") -> bool:
     """Whether the n-th cyclotomic polynomial divides f in Z[x]. f must be nonzero."""
     from .polyring import poly_divmod
 
@@ -156,14 +155,12 @@ class DivisorSpectrum(Record):
         return _mobius_series(exponents, self.modulus)
 
 
-def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
-    """Spectrum of the mask sum of values[e] x^e on the cyclic group of the given order.
+def divisor_spectrum(values: Sequence[int]) -> DivisorSpectrum:
+    """Spectrum of the mask f = sum of values[e] x^e on the cyclic group of order P = len(values).
 
-    The mask f is folded modulo x^P - 1 first, by adding its blocks of
-    length P, so P values, as a tile has, are only copied. A modulus
-    below 1 is a ValueError, and a mask that folds to zero has every
-    answer trivially yes and is rejected as ZeroMask. No Phi_n is built
-    and nothing is divided. For each n | P the fold F of f modulo
+    An empty sequence is a ValueError, and a zero mask has every answer
+    trivially yes and is rejected as ZeroMask. No Phi_n is built and
+    nothing is divided. For each n | P the fold F of f modulo
     x^n - 1, which Phi_n divides, is added up from the fold for n * p;
     dividing the primes of P out in ascending order reaches every n
     once, and the folds kept hold at most about 2P coefficients. Phi_n | F
@@ -171,11 +168,10 @@ def divisor_spectrum(values: Sequence[int], modulus: int) -> DivisorSpectrum:
     at n = 1: with r primes of n, r - 1 passes and one comparison, so at
     a prime-power P the walk is folds and comparisons with no pass.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
     top = list(values)
-    if len(top) != modulus:
-        top = _fold(top + [0] * (-len(top) % modulus), modulus)
+    modulus = len(top)
+    if not modulus:
+        raise ValueError("a mask needs at least one value")
     if not any(top):
         raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
     primes = tuple(p for p, _ in factorize(modulus))

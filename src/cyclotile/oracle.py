@@ -17,8 +17,6 @@ bits, with no convolution and no algebra, and every hit is confirmed by
 the naive graph-side or tile-side check.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 

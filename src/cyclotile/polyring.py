@@ -2,12 +2,11 @@
 
 Coefficients are Python ints stored in ascending degree order, so every
 value is exact at any size. The canonical form never has a trailing zero,
-so the zero polynomial is the empty tuple.
+so the zero polynomial is the empty tuple. A product is one big-int
+product by Kronecker substitution, convolve, whose digits go in and out
+through int.to_bytes. No library path multiplies polynomials; products
+serve callers of IntPolynomial and the tests.
 """
-
-from __future__ import annotations
-
-import struct
 
 from .errors import InexactDivision
 from .record import Record
@@ -37,9 +36,6 @@ class IntPolynomial(Record):
     __rmul__ = __mul__
 
 
-_STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}  # signed digits by width in bytes
-
-
 def convolve(a, b) -> list[int]:
     """Exact linear convolution of two integer sequences, by one big-int product.
 
@@ -56,19 +52,13 @@ def convolve(a, b) -> list[int]:
     # every |entry| and every |product digit| is at most sum|a| * sum|b|
     bound = (sum(map(abs, a)) or 1) * (sum(map(abs, b)) or 1)
     width = 1 << max(0, bound.bit_length().bit_length() - 3)  # 2^(8w - 1) > bound
-    code = _STRUCT_CODES.get(width)
     top = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # top bit of n digits
     product = 1
     for seq in (a, b):
-        if code:
-            data = struct.pack(code % len(seq), *seq)
-        else:
-            data = b"".join(x.to_bytes(width, "little", signed=True) for x in seq)
+        data = b"".join(x.to_bytes(width, "little", signed=True) for x in seq)
         flip = top >> (8 * width * (n - len(seq)))
         product *= (int.from_bytes(data, "little") ^ flip) - flip
     data = ((product + top) ^ top).to_bytes(width * n, "little")
-    if code:
-        return list(struct.unpack(code % n, data))
     return [int.from_bytes(data[i:i + width], "little", signed=True)
             for i in range(0, width * n, width)]
 

@@ -12,8 +12,6 @@ raises AttributeError. Unlike a tuple base, a value is never equal to a
 plain tuple or to a value of another type, and has no length or iteration.
 """
 
-from __future__ import annotations
-
 
 class Record:
     """Construction, equality, hashing, repr and immutability from the fields in __slots__."""

@@ -11,8 +11,6 @@ constant times the spectrum's cofactor, a truncated Moebius series, and
 the 0/1 prime-power one is a sum of two digit sets.
 """
 
-from __future__ import annotations
-
 from .cyclotomic import divisor_spectrum
 from .errors import (
     ModulusMismatch,
@@ -92,7 +90,7 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     if not any(u.values):
         return ExistenceVerdict(False, None)
     mask_sum = sum(u.values)
-    spectrum = divisor_spectrum(u.values, u.modulus)
+    spectrum = divisor_spectrum(u.values)
     passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
     return ExistenceVerdict(passed, spectrum)
 

@@ -12,6 +12,21 @@ def cyclic_fold(coeffs, modulus):
     return out
 
 
+def papers_structured_tile(modulus, distances, b, c):
+    """The paper's x^M (A(x) + b + c - 2k) modulo x^P - 1 as its P values, M the largest distance.
+
+    A(x) is the sum of x^l + x^-l over the distances, each exponent taken
+    modulo P, collisions accumulating.
+    """
+    m = max(distances)
+    values = [0] * modulus
+    values[m % modulus] += b + c - 2 * len(distances)
+    for l in distances:
+        values[(m + l) % modulus] += 1
+        values[(m - l) % modulus] += 1
+    return values
+
+
 def coefficient_sum(a, b):
     """The coefficients of f + g, as long as the longer of the two."""
     out = [0] * max(len(a), len(b))

@@ -21,13 +21,19 @@ from cyclotile.coloring import (
     tiling_to_coloring,
 )
 from cyclotile.errors import InputTooLarge, ModulusMismatch, NotZeroOne
-from cyclotile.tiling import Tile, verify_multitiling
+from cyclotile.oracle import search_tilings
+from cyclotile.tiling import (
+    Tile,
+    construct_tiling_prime_power,
+    multitiling_exists,
+    verify_multitiling,
+)
+from reference import papers_structured_tile
 
 
 def test_spec_basic():
     spec = CirculantSpec(4, (1,))
     assert spec.k == 1
-    assert spec.max_distance == 1
     assert spec.neighbors(0) == (1, 3)
     with pytest.raises(ValueError):
         CirculantSpec(4, ())
@@ -48,7 +54,6 @@ def test_spec_loops_and_duplicates():
 def test_spec_distances_kept_raw():
     spec = CirculantSpec(4, (5, 1))
     assert spec.distances == (5, 1)
-    assert spec.max_distance == 5
     assert sorted(spec.neighbors(0)) == [1, 1, 3, 3]
 
 
@@ -66,16 +71,54 @@ def test_coloring_validation():
 
 
 def test_structured_tile_examples():
-    assert structured_tile(CirculantSpec(4, (1,)), 1, 1).values == (1, 0, 1, 0)
-    assert structured_tile(CirculantSpec(5, (1, 2)), 3, 1).values == (1, 1, 0, 1, 1)
+    assert structured_tile(CirculantSpec(4, (1,)), 1, 1).values == (0, 1, 0, 1)
+    assert structured_tile(CirculantSpec(5, (1, 2)), 3, 1).values == (0, 1, 1, 1, 1)
     assert structured_tile(CirculantSpec(3, (0,)), 1, 1).values == (2, 0, 0)
 
 
 def test_structured_tile_negative_center():
-    # b + c < 2k leaves a negative value at position M
+    # b + c < 2k leaves a negative value at position 0
     u = structured_tile(CirculantSpec(7, (1, 2)), 1, 1)
-    assert u.values[2] == 1 + 1 - 4
+    assert u.values[0] == 1 + 1 - 4
     assert sum(u.values) == 2
+
+
+def test_structured_tile_is_the_papers_tile_rotated():
+    # the paper's tile is x^M times this one, M the largest distance, and x^M is a unit on
+    # Z/PZ: the verdict, the spectrum, the covers and the prime-power witness are the same
+    rng = random.Random(29)
+    features = {"zero": 0, "repeat": 0, "half": 0, "beyond": 0}
+    constructed = covered = 0
+    for _ in range(400):
+        p = rng.randrange(1, 17)
+        # distance 0, l = P / 2 when P is even, a distance at least P, and two others
+        pool = [0, p // 2, rng.randrange(p, 3 * p)] + [rng.randrange(1, p + 1) for _ in range(2)]
+        distances = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 5)))
+        features["zero"] += 0 in distances
+        features["repeat"] += len(set(distances)) < len(distances)
+        features["half"] += p % 2 == 0 and p // 2 in distances
+        features["beyond"] += max(distances) >= p
+        k = len(distances)
+        # half the time b + c divides P, which is when colourings are most often found
+        sums = [s for s in range(2, 4 * k + 3) if p % s == 0] or [rng.randrange(2, 4 * k + 3)]
+        total = rng.choice(sums) if rng.randrange(2) else rng.randrange(2, 4 * k + 3)
+        b = rng.randrange(max(1, total - 2 * k - 1), min(total - 1, 2 * k + 1) + 1)
+        c = total - b
+        spec = CirculantSpec(p, distances)
+        u = structured_tile(spec, b, c)
+        reference = Tile(tuple(papers_structured_tile(p, distances, b, c)))
+        shift = max(distances)
+        assert u.values == tuple(reference.values[(j + shift) % p] for j in range(p)), spec
+        verdict, expected = multitiling_exists(u, c), multitiling_exists(reference, c)
+        assert (verdict.passed, verdict.spectrum) == (expected.passed, expected.spectrum), spec
+        covers = search_tilings(u, c)
+        assert covers == search_tilings(reference, c), (spec, b, c)
+        covered += bool(covers)
+        if verdict.passed and verdict.exact:
+            assert construct_tiling_prime_power(u, c) == construct_tiling_prime_power(reference, c)
+            constructed += 1
+    assert min(features.values()) >= 20, features
+    assert covered >= 20 and constructed >= 20, (covered, constructed)
 
 
 def test_structured_tile_modulus_cap():

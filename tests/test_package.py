@@ -61,35 +61,52 @@ def test_verify_colouring_loads_no_algebra(tmp_path):
         assert cli.run(["verify", sys.argv[1]]) == 0
         print(json.dumps(sorted(set(sys.modules) & {
             "cyclotile.admissibility", "cyclotile.oracle", "cyclotile.tiling",
-            "cyclotile.cyclotomic", "cyclotile.arith", "csv", "argparse", "gettext", "locale"})))
+            "cyclotile.cyclotomic", "cyclotile.arith", "csv", "argparse", "gettext", "locale",
+            "__future__"})))
     """
     assert run_fresh(code, str(doc)) == []
 
 
 def test_construct_loads_no_polyring():
     # the spectrum and both witnesses need no polynomial type, so polyring is imported
-    # only by the two functions that return or divide one; argv needs no argparse
+    # only by the two functions that return or divide one; argv needs no argparse, and
+    # annotations are evaluated where they stand, with no __future__ import
     code = """if True:
         import contextlib, io, json, sys
         from cyclotile import cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["construct", "--b", "1", "--c", "7", "--k", "4"]) == 0
-        print(json.dumps(sorted(name for name in sys.modules
-                                if name.startswith("cyclotile") or name == "argparse")))
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("cyclotile")
+                                or name in ("argparse", "__future__"))))
     """
     assert run_fresh(code) == ["cyclotile"] + ["cyclotile." + name for name in (
         "admissibility", "arith", "cli", "coloring", "cyclotomic", "errors", "record", "tiling")]
+    # a polynomial product packs its digits with int.to_bytes, not struct
     code = """if True:
-        import contextlib, io, json
+        import contextlib, io, json, sys
         from cyclotile import cli, cyclotomic, cyclotomic_divides
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.run(["cyclotomic", "12"]) == 0
         phi = cyclotomic(12)
         print(json.dumps([json.loads(out.getvalue()), cyclotomic_divides(12, phi * cyclotomic(5)),
-                          cyclotomic_divides(3, phi)]))
+                          cyclotomic_divides(3, phi), "struct" in sys.modules]))
     """
-    assert run_fresh(code) == [{"n": 12, "coeffs": [1, 0, -1, 0, 1]}, True, False]
+    assert run_fresh(code) == [{"n": 12, "coeffs": [1, 0, -1, 0, 1]}, True, False, False]
+
+
+def test_table_loads_no_csv():
+    # no cell of the table needs quoting, so its rows are joined without the csv module
+    code = """if True:
+        import contextlib, io, json, sys
+        from cyclotile import cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["table", "--k", "2", "--max-sum", "6"]) == 0
+        print(json.dumps([out.getvalue().splitlines()[:2], "csv" in sys.modules]))
+    """
+    assert run_fresh(code) == [["b,c,k,N,admissible,violating_q,violating_t,prime_power_sum,"
+                                "constructive", "1,1,2,2,true,,,true,true"], False]
 
 
 def test_benchmark_tracer_finds_every_function_its_metrics_need():

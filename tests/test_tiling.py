@@ -111,7 +111,7 @@ def test_witness_multiplier_identity():
         assert isinstance(w, MultitilingWitness)
         assert verify_multitiling(u, w.tile, m)
         mask_sum = sum(u.values)
-        spectrum = divisor_spectrum(u.values, p)
+        spectrum = divisor_spectrum(u.values)
         d_at_one = sum(_cofactor_by_division(p, spectrum.divisors)[1].coeffs)
         assert w.multiplier * mask_sum == m * d_at_one
         seen += 1
