@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every subcommand prints one JSON payload (or CSV for the table) on
-standard output and reserves standard error for diagnostics. Exit code 0
-means the requested check passed, the object was produced or help was
-printed, 1 means a negative mathematical verdict, 2 means the invocation
-itself was bad, and 3 means an internal invariant failed, which is a bug
-in cyclotile.
+Each subcommand's handler returns its exit code and its payload, a JSON
+object or the table's CSV text, and `run` writes that payload as the one
+write to standard output; standard error is reserved for diagnostics. Exit
+code 0 means the requested check passed, the object was produced or help
+was printed, 1 means a negative mathematical verdict, 2 means the
+invocation itself was bad or stdout could not be written, and 3 means an
+internal invariant failed, which is a bug in cyclotile. A reader that
+closes standard output early ends the run quietly with the command's code.
 
 argv is checked against one table, GRAMMAR, from which the help and usage
 lines are also written; argparse is not imported, since every cold process
@@ -18,6 +20,7 @@ and whether b + c is a prime power from each row's verdict, and every N is
 """
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -57,10 +60,6 @@ def _format(text: str) -> str:
     return text
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, separators=(", ", ": ")))
-
-
 def _admissibility_payload(verdict) -> dict:
     return {
         "admissible": verdict.admissible,
@@ -70,15 +69,14 @@ def _admissibility_payload(verdict) -> dict:
     }
 
 
-def _cmd_params_check(args: SimpleNamespace) -> int:
+def _cmd_params_check(args: SimpleNamespace) -> tuple[int, dict]:
     from .admissibility import ParamTriple, check_admissible
 
     verdict = check_admissible(ParamTriple(args.b, args.c, args.k))
-    _emit(_admissibility_payload(verdict))
-    return 0 if verdict.admissible else 1
+    return 0 if verdict.admissible else 1, _admissibility_payload(verdict)
 
 
-def _cmd_construct(args: SimpleNamespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> tuple[int, dict]:
     from .admissibility import (
         ParamTriple,
         construct_distances,
@@ -92,16 +90,14 @@ def _cmd_construct(args: SimpleNamespace) -> int:
         witness = build(params)
     except Inadmissible as exc:
         print("no construction: parameters are inadmissible", file=sys.stderr)
-        _emit(_admissibility_payload(exc.verdict))
-        return 1
+        return 1, _admissibility_payload(exc.verdict)
     if witness.coloring is None and not args.multitiling_only:
         print("b + c = %d is not a prime power; emitting the distance "
               "certificate without a colouring" % params.color_sum, file=sys.stderr)
-    _emit(witness_to_document(witness))
-    return 0
+    return 0, witness_to_document(witness)
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> tuple[int, dict]:
     from .coloring import Coloring, is_perfect_coloring, parse_document
 
     with open(args.file, "r", encoding="utf-8") as handle:
@@ -109,18 +105,17 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     spec, b, c, colors = parse_document(doc)
     if colors is not None:
         ok = is_perfect_coloring(spec, Coloring(colors, b, c))
-        _emit({
+        return 0 if ok else 1, {
             "kind": "coloring",
             "P": spec.modulus,
             "b": b,
             "c": c,
             "perfect": ok,
-        })
-        return 0 if ok else 1
+        }
     from .admissibility import ParamTriple, check_graph_condition
 
     verdict = check_graph_condition(spec, b, c)
-    _emit({
+    return 0 if verdict.passed else 1, {
         "kind": "parameters",
         "P": spec.modulus,
         "b": b,
@@ -129,18 +124,17 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         "prime_power_product_at_one": verdict.spectrum.prime_power_product,
         "passes": verdict.passed,
         "exact": verdict.exact,
-    })
-    return 0 if verdict.passed else 1
+    }
 
 
-def _cmd_search(args: SimpleNamespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> tuple[int, dict]:
     from .coloring import CirculantSpec
     from .oracle import search_colorings
 
     spec = CirculantSpec(args.P, args.distances)
     bound = {} if args.max_states is None else {"max_states": args.max_states}
     report = search_colorings(spec, args.b, args.c, limit=args.limit, **bound)
-    _emit({
+    return 0 if report.found else 1, {
         "P": spec.modulus,
         "distances": list(spec.distances),
         "b": args.b,
@@ -149,26 +143,24 @@ def _cmd_search(args: SimpleNamespace) -> int:
         "exhausted": report.exhausted,
         "states_examined": report.states_examined,
         "colorings": [col.colors for col in report.found],
-    })
-    return 0 if report.found else 1
+    }
 
 
-def _cmd_cyclotomic(args: SimpleNamespace) -> int:
+def _cmd_cyclotomic(args: SimpleNamespace) -> tuple[int, dict]:
     from .cyclotomic import cyclotomic
 
     poly = cyclotomic(args.n)
-    _emit({"n": args.n, "coeffs": list(poly.coeffs)})
-    return 0
+    return 0, {"n": args.n, "coeffs": list(poly.coeffs)}
 
 
-def _cmd_spectrum(args: SimpleNamespace) -> int:
+def _cmd_spectrum(args: SimpleNamespace) -> tuple[int, dict]:
     from .admissibility import ParamTriple, check_graph_condition
     from .coloring import CirculantSpec
 
     spec = CirculantSpec(args.P, args.distances)
     verdict = check_graph_condition(spec, args.b, args.c)
     spectrum = verdict.spectrum  # the tile sums to b + c > 0, so no Phi_1 divides its mask
-    _emit({
+    return 0 if verdict.passed else 1, {
         "P": spec.modulus,
         "distances": list(spec.distances),
         "b": args.b,
@@ -179,8 +171,7 @@ def _cmd_spectrum(args: SimpleNamespace) -> int:
         "N": ParamTriple(args.b, args.c, spec.k).reduced_sum,
         "passes": verdict.passed,
         "exact": verdict.exact,
-    })
-    return 0 if verdict.passed else 1
+    }
 
 
 def _table_rows(k: int, max_sum: int) -> list[dict]:
@@ -216,11 +207,10 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
     return rows
 
 
-def _cmd_table(args: SimpleNamespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> tuple[int, dict | str]:
     rows = _table_rows(args.k, args.max_sum)
     if args.format == "json":
-        _emit({"k": args.k, "max_sum": args.max_sum, "rows": rows})
-        return 0
+        return 0, {"k": args.k, "max_sum": args.max_sum, "rows": rows}
     header = ["b", "c", "k", "N", "admissible", "violating_q", "violating_t",
               "prime_power_sum", "constructive"]
     # every cell is an int, a bool or None, none of which needs CSV quoting
@@ -228,8 +218,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
     for row in rows:
         lines.append(",".join(["" if row[key] is None else str(row[key]).lower()
                                for key in header]))
-    print("\n".join(lines))
-    return 0
+    return 0, "\n".join(lines)
 
 
 _REQUIRED = object()  # the default of an argument that must be given
@@ -360,7 +349,8 @@ def run(argv: list[str] | None = None) -> int:
         return parsed
     words, args = parsed
     try:
-        return globals()["_cmd_" + "_".join(words)](args)
+        code, payload = globals()["_cmd_" + "_".join(words)](args)
+        text = payload if isinstance(payload, str) else json.dumps(payload, separators=(", ", ": "))
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json nested too deeply
         print("cannot read input: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
@@ -373,6 +363,15 @@ def run(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return INTERNAL_ERROR
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # the unwritten rest now goes to os.devnull, where shutdown's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that went early ends quietly
+            print("cannot write output: %s" % exc, file=sys.stderr)
+            return USAGE_ERROR
+    return code
 
 
 def main() -> None:

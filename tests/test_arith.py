@@ -31,6 +31,8 @@ def test_factorize():
     assert factorize(2) == [(2, 1)]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]
+    # Brent's rho with c = 1 ends at g = n here, so it retries with c = 2
+    assert factorize(1_260_913) == [(1031, 1), (1223, 1)]
 
 
 def test_factorize_reconstructs():

@@ -13,6 +13,8 @@ import cyclotile
 from cyclotile import admissibility, cli
 from cyclotile.cli import run
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -287,7 +289,6 @@ def test_limited_search_at_a_large_order_fits_in_256_mb():
     # 1000 distances on 4096 vertices: the walk's per-vertex rows alone would take about
     # 0.5 GB if all were held at once. The child limits its own address space to 256 MB
     pytest.importorskip("resource")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
             "from cyclotile.cli import run\n"
@@ -295,12 +296,37 @@ def test_limited_search_at_a_large_order_fits_in_256_mb():
     argv = ["search", "--P", "4096", "--distances", ",".join(map(str, range(1, 1001))),
             "--b", "1", "--c", "1", "--limit", "1", "--max-states", "1"]
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stderr
     assert "max_states" in proc.stderr and "out of memory" not in proc.stderr
     assert elapsed < 10
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the table's 3 MB is far more than a pipe holds, so the child is still writing when
+    # the reader goes: a closed stdout is neither an input error nor a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "cyclotile.cli", "table", "--k", "3",
+                             "--max-sum", "447"], env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"b,c,k,N,admissible,violating_q,violating_t,prime_power_sum,constructive\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_full_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", "cyclotomic", "12"],
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cannot write output: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_cyclotomic(capsys):
@@ -431,6 +457,7 @@ def test_usage_errors(capsys):
     for argv in ([], ["bogus"], ["params"], ["params", "check", "--b", "1", "--c", "1"],
                  ["cyclotomic", "zero"], ["cyclotomic", "0"],
                  ["search", "--P", "4", "--distances", "x", "--b", "1", "--c", "1"],
+                 ["search", "--P", "8", "--distances", "1,-2", "--b", "1", "--c", "1"],
                  ["params", "check", "--b", "1", "--c", "1", "--k", "1", "--q", "1"],
                  ["params", "check", "--b", "1", "--c", "1", "--k"],
                  ["construct", "--b", "1", "--c", "1", "--k", "1", "--multitiling-only=1"],
@@ -486,9 +513,8 @@ def test_verify_of_every_construct_output(tmp_path, capsys):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every cold CLI process pays for what importing the CLI loads; these two cost ~8 ms
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
     code = "import sys, cyclotile.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
 

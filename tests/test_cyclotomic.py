@@ -100,6 +100,12 @@ def test_divides():
     assert cyclotomic_divides(6, IntPolynomial([1, 0, 1, 0, 1]))
 
 
+def test_cyclotomic_rejects_a_nonpositive_index():
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            cyclotomic(n)
+
+
 def test_divides_zero_rejected():
     with pytest.raises(ValueError):
         cyclotomic_divides(3, IntPolynomial([]))

@@ -104,6 +104,12 @@ def test_search_colorings_rejects_nonpositive_limit():
             search_colorings(CirculantSpec(4, (1,)), 1, 1, limit=limit)
 
 
+def test_search_colorings_rejects_nonpositive_b_or_c():
+    for b, c in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="b and c must be positive"):
+            search_colorings(CirculantSpec(4, (1,)), b, c)
+
+
 def test_search_colorings_beyond_degree_skips_the_sweep():
     # b or c above 2k matches no state; the report is that of a full sweep, at once
     for spec, b, c in [(CirculantSpec(6, (1,)), 3, 1), (CirculantSpec(6, (1, 2)), 1, 5),

@@ -82,6 +82,8 @@ def test_convolve_matches_double_loop(a, b):
 def test_mul_by_int():
     assert (3 * P(1, -1)).coeffs == (3, -3)
     assert (P(1, -1) * 0).is_zero()
+    with pytest.raises(TypeError):
+        P(1) * "x"
 
 
 def test_exact_div_quartic():

@@ -55,11 +55,14 @@ def test_verify_modulus_mismatch():
 def test_exists_examples():
     verdict = multitiling_exists(Tile((1, 0, 1, 0)), 1)
     assert verdict.passed
+    assert bool(verdict) is True
     assert verdict.spectrum.prime_power_product == 2
 
     # coefficient sum zero can never tile
     for m in (1, 2, -3, 7):
-        assert not multitiling_exists(Tile((1, -1, 0, 0)), m).passed
+        verdict = multitiling_exists(Tile((1, -1, 0, 0)), m)
+        assert not verdict.passed
+        assert bool(verdict) is False
 
     assert multitiling_exists(Tile((1, 0, 0)), 5).passed
 
