@@ -12,18 +12,14 @@ one prime of N, so it is then the paper's sufficient bound as well.
 """
 
 from math import gcd
+from operator import add, mul
 
 from .arith import crt_basis, factorize
-from .coloring import (
-    CirculantSpec,
-    build_document,
-    is_perfect_coloring,
-    structured_tile,
-    tiling_to_coloring,
-)
 from .errors import Inadmissible, InputTooLarge, NotExists
 from .record import Record
-from .tiling import ExistenceVerdict, construct_tiling_prime_power, multitiling_exists
+
+# The colouring and tiling layers are imported where they are first used, so
+# deciding admissibility (params check, table) loads none of the tile algebra.
 
 # a construction lists k distances on a group of order at most 8k; larger k is refused
 MAX_DISTANCES = 100_000
@@ -110,7 +106,7 @@ def check_admissible(params: ParamTriple) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(prime_powers, tuple(violations))
 
 
-def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> ExistenceVerdict:
+def check_graph_condition(spec: "CirculantSpec", b: int, c: int) -> "ExistenceVerdict":
     """Necessary condition for a (b, c)-perfect colouring of the graph.
 
     The verdict is the c-multitiling test on the structured tile, whose
@@ -125,6 +121,9 @@ def check_graph_condition(spec: CirculantSpec, b: int, c: int) -> ExistenceVerdi
         raise ValueError("the graph needs at least 2 vertices")
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
+    from .coloring import structured_tile
+    from .tiling import multitiling_exists
+
     return multitiling_exists(structured_tile(spec, b, c), c)
 
 
@@ -184,10 +183,14 @@ def _admitted(params: ParamTriple) -> AdmissibilityVerdict:
 
 
 def _lifted_distances(params: ParamTriple, verdict: AdmissibilityVerdict) -> ConstructionWitness:
+    from .coloring import CirculantSpec
+
     per_prime = _per_prime_residues(params, verdict.prime_powers)
     basis, period = crt_basis([pp.modulus for pp in per_prime])  # N for odd N, else 2N
-    distances = [sum(r * e for r, e in zip(residues, basis)) % period
-                 for residues in zip(*[pp.residues for pp in per_prime])]
+    distances = [0] * params.k  # sum over the primes of residue * e_i, one prime at a time
+    for pp, e in zip(per_prime, basis):
+        distances = list(map(add, distances, map(mul, pp.residues, [e] * params.k)))
+    distances = [d % period for d in distances]
     lift_past = max(pp.q ** (pp.t + 1) for pp in per_prime)
     idx = distances.index(max(distances))
     while distances[idx] <= lift_past:
@@ -209,6 +212,9 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     witness = _lifted_distances(params, verdict)
     if not verdict.prime_power_sum(params.color_sum):
         return _checked(witness)
+    from .coloring import is_perfect_coloring, structured_tile, tiling_to_coloring
+    from .tiling import construct_tiling_prime_power
+
     u = structured_tile(witness.spec, params.b, params.c)
     try:
         v = construct_tiling_prime_power(u, params.c)
@@ -222,6 +228,8 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
 
 def witness_to_document(witness: ConstructionWitness) -> dict:
     """Serialize a witness as the interchange document plus its construction data."""
+    from .coloring import build_document
+
     doc = build_document(
         witness.spec,
         witness.params.b,

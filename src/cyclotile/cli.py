@@ -1,17 +1,23 @@
 """Command-line front end.
 
 Each subcommand's handler returns its exit code and its payload, a JSON
-object or the table's CSV text, and `run` writes that payload as the one
-write to standard output; standard error is reserved for diagnostics. Exit
-code 0 means the requested check passed, the object was produced or help
-was printed, 1 means a negative mathematical verdict, 2 means the
-invocation itself was bad or stdout could not be written, and 3 means an
-internal invariant failed, which is a bug in cyclotile. A reader that
-closes standard output early ends the run quietly with the command's code.
+object or the table's CSV text, and `run` writes that payload, or the help
+text with code 0, as the one write to standard output; standard error is
+reserved for diagnostics. Exit code 0 means the requested check passed, the
+object was produced or help was written, 1 means a negative mathematical
+verdict, 2 means the invocation itself was bad or stdout could not be
+written, and 3 means an internal invariant failed, which is a bug in
+cyclotile. A reader that closes standard output early ends the run quietly
+with the command's code.
 
 argv is checked against one table, GRAMMAR, from which the help and usage
 lines are also written; argparse is not imported, since every cold process
-would pay for it.
+would pay for it. For the same reason each handler imports what it calls,
+and the library imports its tile algebra where it is first used, so a cold
+process loads only the modules its subcommand needs. `params check` and
+`table` load six (the package, `cli`, `errors`, `admissibility`, `arith` and
+`record`) and none of the tile algebra; verifying a colouring loads none of
+the algebra either.
 
 Handlers decide nothing the library decides: `construct` reads admissibility
 and the route from the one construction it calls, `table` reads admissibility
@@ -24,8 +30,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-# Each handler imports what it calls, so a cold process loads only the modules
-# its subcommand needs: verifying a colouring never loads the algebra.
 from .errors import CyclotileError, Inadmissible, InputTooLarge
 
 USAGE_ERROR = 2
@@ -277,8 +281,8 @@ def _help(words: tuple | None) -> str:
         rows = [(arg[0], arg[3]) for arg in GRAMMAR[words][1]]
     rows.append(("-h, --help", "show this help and exit"))
     width = max(len(label) for label, _ in rows) + 2
-    return "%s\n\n%s\n%s" % (_usage(words), about, "".join(
-        "  %-*s%s\n" % (width, label, text) for label, text in rows))
+    return "%s\n\n%s\n%s" % (_usage(words), about, "\n".join(
+        "  %-*s%s" % (width, label, text) for label, text in rows))
 
 
 def _values(arguments: tuple, tokens: list[str]) -> SimpleNamespace:
@@ -318,19 +322,18 @@ def _values(arguments: tuple, tokens: list[str]) -> SimpleNamespace:
                               for name, arg in named.items()})
 
 
-def _parse(argv: list[str]) -> tuple[tuple, SimpleNamespace] | int:
+def _parse(argv: list[str]) -> tuple[tuple, SimpleNamespace] | str | int:
     """The command words of argv and its arguments, checked against GRAMMAR.
 
     Options are spelled in full, as `--name value` or `--name=value`. A repeated option
     keeps its last value, and every token after `--` is positional. Help, asked for by
-    `-h` or `--help` anywhere before `--`, goes to stdout and a usage error to stderr;
-    either returns its exit code in place of the parse.
+    `-h` or `--help` anywhere before `--`, is returned as its text, which `run` writes as
+    the payload of exit code 0. A usage error goes to stderr and returns its exit code.
     """
     words = next((command for command in GRAMMAR if tuple(argv[:len(command)]) == command), None)
     rest = argv[len(words or ()):]
     if {"-h", "--help"} & set(rest[:rest.index("--")] if "--" in rest else rest):
-        print(_help(words), end="")
-        return 0
+        return _help(words)
     try:
         if words is None:
             raise ValueError("%s (choose from %s)" % (
@@ -347,9 +350,12 @@ def run(argv: list[str] | None = None) -> int:
     parsed = _parse(sys.argv[1:] if argv is None else argv)
     if isinstance(parsed, int):
         return parsed
-    words, args = parsed
     try:
-        code, payload = globals()["_cmd_" + "_".join(words)](args)
+        if isinstance(parsed, str):  # help
+            code, payload = 0, parsed
+        else:
+            words, args = parsed
+            code, payload = globals()["_cmd_" + "_".join(words)](args)
         text = payload if isinstance(payload, str) else json.dumps(payload, separators=(", ", ": "))
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json nested too deeply
         print("cannot read input: %s" % exc, file=sys.stderr)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import cyclotile
-from cyclotile import admissibility, cli
+from cyclotile import cli, coloring
 from cyclotile.cli import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
@@ -200,7 +200,7 @@ def test_spectrum_at_a_large_power_of_two(capsys):
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     # a constructed colouring that fails its own graph-side check is a bug,
     # which must not be reported as the negative verdict of exit 1
-    monkeypatch.setattr(admissibility, "is_perfect_coloring", lambda spec, col: False)
+    monkeypatch.setattr(coloring, "is_perfect_coloring", lambda spec, col: False)
     code, out, err = invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")
     assert code == 3
     assert out == ""
@@ -318,15 +318,31 @@ def test_a_closed_stdout_ends_the_run_quietly():
     assert err == b""
 
 
+def test_help_into_a_closed_pipe_ends_quietly():
+    # the read end is closed before the child starts, so the help's one write meets a
+    # broken pipe: help goes through the same write as every command's payload
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", "--help"],
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 def test_a_full_stdout_exits_2():
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", "cyclotomic", "12"],
-                              env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
-                              stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("cannot write output: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # help too: it is written as the payload of its run, like a command's output
+    for argv in (["cyclotomic", "12"], ["--help"], ["construct", "-h"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("cannot write output: "), argv
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, argv
 
 
 def test_cyclotomic(capsys):

@@ -109,6 +109,44 @@ def test_table_loads_no_csv():
                                 "constructive", "1,1,2,2,true,,,true,true"], False]
 
 
+# the cyclotile modules, beyond the package and cli, that a cold process of each command
+# line loads; deciding admissibility needs arithmetic only, and no tile algebra
+DECIDING = ["admissibility", "arith", "errors", "record"]
+ALGEBRA = sorted(DECIDING + ["coloring", "cyclotomic", "tiling"])
+DOCUMENTS = {"coloring.json": {"version": 1, "P": 4, "distances": [1], "b": 1, "c": 1,
+                               "colors": "BBWW"},
+             "parameters.json": {"version": 1, "P": 4, "distances": [1], "b": 1, "c": 1}}
+LOADS = [
+    ("params check --b 5 --c 3 --k 2", 1, DECIDING),
+    ("table --k 2 --max-sum 6", 0, DECIDING),
+    ("verify coloring.json", 0, ["coloring", "errors", "record"]),
+    ("verify parameters.json", 0, ALGEBRA),
+    ("spectrum --P 8 --distances 1 --b 1 --c 1", 0, ALGEBRA),
+    ("construct --b 1 --c 7 --k 4", 0, ALGEBRA),
+    ("construct --b 2 --c 6 --k 3 --multitiling-only", 0, ALGEBRA),
+    ("search --P 4 --distances 1 --b 1 --c 1", 0,
+     ["arith", "coloring", "cyclotomic", "errors", "oracle", "record", "tiling"]),
+    ("cyclotomic 12", 0, ["arith", "cyclotomic", "errors", "polyring", "record"]),
+]
+
+
+@pytest.mark.parametrize("line, code, loaded", LOADS, ids=[line for line, _, _ in LOADS])
+def test_each_command_loads_only_its_modules(line, code, loaded, tmp_path):
+    for name, doc in DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / word) if word in DOCUMENTS else word for word in line.split()]
+    script = """if True:
+        import contextlib, io, json, sys
+        from cyclotile import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(sys.argv[1:])
+        print(json.dumps([code, sorted(name for name in sys.modules
+                                       if name.startswith("cyclotile"))]))
+    """
+    assert run_fresh(script, *argv) == [
+        code, ["cyclotile"] + ["cyclotile." + name for name in sorted(loaded + ["cli"])]]
+
+
 def test_benchmark_tracer_finds_every_function_its_metrics_need():
     # a traced benchmark run skips a function it cannot find and drops the metrics that need it
     spec = importlib.util.spec_from_file_location(
