@@ -33,7 +33,7 @@ class ParamTriple(Record):
     def __init__(self, b: int, c: int, k: int):
         if b < 1 or c < 1 or k < 1:
             raise ValueError("b, c and k must all be positive")
-        super().__init__(b, c, k)
+        self._store(b, c, k)
 
     @property
     def color_sum(self) -> int:

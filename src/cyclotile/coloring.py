@@ -44,7 +44,7 @@ class CirculantSpec(Record):
             raise ValueError("at least one distance is required")
         if any(l < 0 for l in distances):
             raise ValueError("distances must be nonnegative")
-        super().__init__(modulus, distances)
+        self._store(modulus, distances)
 
     @property
     def k(self) -> int:
@@ -76,7 +76,7 @@ class Coloring(Record):
             raise ValueError("colors must be a string over B and W")
         if b < 1 or c < 1:
             raise ValueError("parameters b and c must be positive")
-        super().__init__(colors, b, c)
+        self._store(colors, b, c)
 
     @property
     def modulus(self) -> int:

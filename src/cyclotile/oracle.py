@@ -204,11 +204,13 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
     The walk takes the 2^B masks that share their high bits P-1 ... B
     (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one int,
     and classifies the whole block at once. The low bits' share of a vertex's
-    sum is counted once per call into a few bit planes over the block (_planes);
-    in a block the high bits add a constant, so the block's masks that satisfy a
-    vertex are the low parts whose planes spell target minus that constant.
-    Vertex g's row, values[d] on bit (g - d) mod P, is built when the walk
-    prepares g, so one row is held at a time. Each vertex keeps those sets in a
+    sum is counted once per call into a few bit planes over the block (_planes).
+    Vertex g's row, values[d] on bit (g - d) mod P, is one P-bit set per distinct
+    weight a: vertex 0's set, the bits -d mod P with values[d] == a, turned by g.
+    Its high part holds the high bits of weight a, and its low bits are the terms
+    counted into the planes. In a block the high bits add a constant, so the
+    block's masks that satisfy a vertex are the low parts whose planes spell
+    target minus that constant. Each vertex keeps those sets of low parts in a
     dict local to the call, filled on a first look-up, and costs a block a
     popcount per distinct high weight, a look-up and an AND. The blocks step
     from one high part to the next whose popcount leaves room for weight ones.
@@ -218,17 +220,27 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
     p = len(values)
     width = min(BLOCK_BITS, p)
     full, bits, classes = _block(width)
-    support = [(d, a) for d, a in enumerate(values) if a]
+    ring, low_bits = (1 << p) - 1, (1 << width) - 1
+    rows: dict[int, int] = {}  # weight a -> vertex 0's row of it: bit -d mod P where values[d] == a
+    for d, a in enumerate(values):
+        if a:
+            rows[a] = rows.get(a, 0) | 1 << (-d % p)
     vertices = []
     for g in range(p):
-        row = [((g - d) % p, a) for d, a in support]
-        by_weight: dict[int, int] = {}  # weight a -> the high bits with that weight
-        for h, a in row:
-            if h >= width:
-                by_weight[a] = by_weight.get(a, 0) | 1 << (h - width)
-        planes, offset = _planes([(h, a) for h, a in row if h < width], full, bits)
+        groups = []  # (a, the high bits of weight a)
+        low = []  # (h, a) for each low bit h of weight a
+        for a, row in rows.items():
+            row = (row << g | row >> (p - g)) & ring  # vertex g's row is vertex 0's turned by g
+            if row >> width:
+                groups.append((a, row >> width))
+            row &= low_bits
+            while row:
+                bit = row & -row
+                low.append((bit.bit_length() - 1, a))
+                row ^= bit
+        planes, offset = _planes(low, full, bits)
         # high total -> the low parts meeting the target with it
-        vertices.append((tuple(by_weight.items()), planes, target + offset, {}))
+        vertices.append((groups, planes, target + offset, {}))
     blocks = 1 << (p - width)
     classified = 0
     high = 0

@@ -21,7 +21,7 @@ class IntPolynomial(Record):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        super().__init__(tuple(coeffs))
+        self._store(tuple(coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -30,7 +30,7 @@ class Tile(Record):
         values = tuple(values)
         if not values:
             raise ValueError("a tile needs at least one value")
-        super().__init__(values)
+        self._store(values)
 
     @property
     def modulus(self) -> int:

@@ -479,11 +479,15 @@ def test_block_walk_matches_the_classifier_on_every_small_graph(monkeypatch):
 def test_block_walk_matches_the_classifier_on_larger_graphs(monkeypatch):
     rng = random.Random(47)
     hits = 0
-    for p in (16, 18, 20):
-        spec = CirculantSpec(p, tuple(rng.sample(range(1, p // 2 + 1), 2)))
+    specs = [CirculantSpec(p, tuple(rng.sample(range(1, p // 2 + 1), 2))) for p in (16, 18, 20)]
+    # six distances: a row holds a weight on 13 of the 16 bits, so the bit set of weight 1
+    # is dense and wraps around when it is turned; its hits are at (6, 6), (7, 7) and (8, 8)
+    specs.append(CirculantSpec(16, tuple(rng.sample(range(1, 8), 6))))
+    for spec in specs:
+        p = spec.modulus
         by_weight = {}
-        for b in range(1, 5):
-            for c in range(1, 5):
+        for b in range(1, 2 * spec.k + 1):
+            for c in range(1, 2 * spec.k + 1):
                 if p * c % (b + c):
                     continue
                 w = p * c // (b + c)

@@ -1,6 +1,7 @@
 """Value semantics shared by every value type of the package."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -122,21 +123,38 @@ def test_a_subclass_without_slots_keeps_its_fields():
     plain = type("Plain", (Violation,), {"__slots__": ()})
     assert plain(q=2, t=3, bound=5) == plain(2, 3, 5) != plain(2, 3, 6)
     assert repr(plain(2, 3, 5)) == "Plain(q=2, t=3, bound=5)"
+    # a subclass of a checking type inherits its __init__, one of a plain type gets its own
+    # store, and one that adds slots takes them after its base's
+    with pytest.raises(ValueError):
+        sub("", 1, 1)
+    assert sub.__init__ is Coloring.__init__
+    with pytest.raises(TypeError, match="^Plain\\.__init__\\(\\) missing 1"):
+        plain(2, 3)
+    wider = type("Wider", (Violation,), {"__slots__": ("note",)})
+    assert str(inspect.signature(wider)) == "(q, t, bound, note)"
+    assert repr(wider(2, 3, 5, note="x")) == "Wider(q=2, t=3, bound=5, note='x')"
 
 
 @pytest.mark.parametrize("cls, kwargs", CASES, ids=[cls.__name__ for cls, _ in CASES])
 def test_the_constructor_takes_exactly_the_fields(cls, kwargs):
     values = list(kwargs.values())
     *first, last = kwargs
+    named = "^%s\\.__init__\\(\\)" % cls.__name__  # the error names the type
     if cls is not IntPolynomial:  # IntPolynomial() is the zero polynomial
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=named):
             cls(*values[:-1])  # a missing field
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=named):
             cls(**{name: kwargs[name] for name in first})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named):
         cls(*values, values[-1])  # an extra positional argument
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named):
         cls(**kwargs, unknown_field=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named):
         cls(*values, **{last: kwargs[last]})  # a field given twice
     assert cls(*values[:-1], **{last: kwargs[last]}) == cls(*values)
+    # the five checking types define __init__, every other one has the compiled store as
+    # its own; either way the signature lists the fields
+    assert list(inspect.signature(cls).parameters) == list(kwargs)
+    checking = (CirculantSpec, Coloring, Tile, ParamTriple, IntPolynomial)
+    assert (cls.__init__ is cls._store) == (cls not in checking)
+
