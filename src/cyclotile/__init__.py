@@ -32,6 +32,7 @@ _HOME = {
     "WHITE": "coloring",
     "CirculantSpec": "coloring",
     "Coloring": "coloring",
+    "Tile": "coloring",
     "build_document": "coloring",
     "coloring_to_tiling": "coloring",
     "is_perfect_coloring": "coloring",
@@ -47,13 +48,7 @@ _HOME = {
     "Inadmissible": "errors",
     "InexactDivision": "errors",
     "InputTooLarge": "errors",
-    "ModulusMismatch": "errors",
-    "MultiplicityOutOfRange": "errors",
     "NotExists": "errors",
-    "NotPrimePower": "errors",
-    "NotZeroOne": "errors",
-    "SearchSpaceTooLarge": "errors",
-    "ZeroMask": "errors",
     "SearchReport": "oracle",
     "census_colorings": "oracle",
     "search_colorings": "oracle",
@@ -62,7 +57,6 @@ _HOME = {
     "poly_divmod": "polyring",
     "ExistenceVerdict": "tiling",
     "MultitilingWitness": "tiling",
-    "Tile": "tiling",
     "construct_multitiling": "tiling",
     "construct_tiling_prime_power": "tiling",
     "multitiling_exists": "tiling",

@@ -1,4 +1,4 @@
-"""Circulant graphs, 2-colourings, and their correspondence with tilings.
+"""Circulant graphs, 2-colourings, integer tiles, and colourings as tilings.
 
 A circulant graph on Z/PZ joins every vertex g to g + l and g - l for
 each listed distance l, so each vertex has a neighbour multiset of size
@@ -16,7 +16,7 @@ distance; on Z/PZ the factor x^M is a unit that changes no divisor
 spectrum and no cover, so it is left out.
 """
 
-from .errors import InputTooLarge, ModulusMismatch, NotZeroOne
+from .errors import InputTooLarge
 from .record import Record
 
 MAX_MODULUS = 2**20  # structured_tile refuses a larger group order before allocating a tile
@@ -83,7 +83,23 @@ class Coloring(Record):
         return len(self.colors)
 
 
-def structured_tile(spec: CirculantSpec, b: int, c: int) -> "Tile":
+class Tile(Record):
+    """An integer-valued function on Z/PZ, one value per group element."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        values = tuple(values)
+        if not values:
+            raise ValueError("a tile needs at least one value")
+        self._store(values)
+
+    @property
+    def modulus(self) -> int:
+        return len(self.values)
+
+
+def structured_tile(spec: CirculantSpec, b: int, c: int) -> Tile:
     """The tile whose c-tilings are exactly the (b, c)-perfect colourings.
 
     Value b + c - 2k is added at 0 and 1 at each l mod P and -l mod P,
@@ -93,8 +109,6 @@ def structured_tile(spec: CirculantSpec, b: int, c: int) -> "Tile":
     x^M is a unit, so the two have the same spectrum and the same covers.
     Raises InputTooLarge when P exceeds MAX_MODULUS.
     """
-    from .tiling import Tile  # on first use: verifying a colouring needs no tile algebra
-
     p = spec.modulus
     if p > MAX_MODULUS:
         raise InputTooLarge("group order %d is above the cap of %d" % (p, MAX_MODULUS))
@@ -123,7 +137,7 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
     """
     p = spec.modulus
     if len(colors) != p:
-        raise ModulusMismatch("graph on %d vertices, colouring on %d" % (p, len(colors)))
+        raise ValueError("graph on %d vertices, colouring on %d" % (p, len(colors)))
     indicator = colors.encode().translate(_INDICATOR)
     if 2 in indicator:
         raise ValueError("colors must be a string over B and W")
@@ -159,17 +173,15 @@ def perfect_parameters(spec: CirculantSpec, colors: str) -> tuple[int, int] | No
     return (b, c) if b >= 1 and c >= 1 else None
 
 
-def coloring_to_tiling(col: Coloring) -> "Tile":
+def coloring_to_tiling(col: Coloring) -> Tile:
     """Indicator tile of the black class."""
-    from .tiling import Tile
-
     return Tile(tuple(1 if ch == BLACK else 0 for ch in col.colors))
 
 
-def tiling_to_coloring(v: "Tile", b: int, c: int) -> Coloring:
+def tiling_to_coloring(v: Tile, b: int, c: int) -> Coloring:
     """Colour the support of a 0/1 tile black; inverse of coloring_to_tiling."""
     if any(value not in (0, 1) for value in v.values):
-        raise NotZeroOne("tile values must all be 0 or 1")
+        raise ValueError("tile values must all be 0 or 1")
     return Coloring("".join(BLACK if value else WHITE for value in v.values), b, c)
 
 

@@ -38,7 +38,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .arith import factorize
-from .errors import InputTooLarge, ZeroMask
+from .errors import InputTooLarge
 from .record import Record
 
 MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anything is allocated
@@ -158,8 +158,8 @@ class DivisorSpectrum(Record):
 def divisor_spectrum(values: Sequence[int]) -> DivisorSpectrum:
     """Spectrum of the mask f = sum of values[e] x^e on the cyclic group of order P = len(values).
 
-    An empty sequence is a ValueError, and a zero mask has every answer
-    trivially yes and is rejected as ZeroMask. No Phi_n is built and
+    An empty sequence is a ValueError, and so is a zero mask, which has
+    every answer trivially yes. No Phi_n is built and
     nothing is divided. For each n | P the fold F of f modulo
     x^n - 1, which Phi_n divides, is added up from the fold for n * p;
     dividing the primes of P out in ascending order reaches every n
@@ -173,7 +173,7 @@ def divisor_spectrum(values: Sequence[int]) -> DivisorSpectrum:
     if not modulus:
         raise ValueError("a mask needs at least one value")
     if not any(top):
-        raise ZeroMask("mask vanishes modulo x^%d - 1" % modulus)
+        raise ValueError("mask vanishes modulo x^%d - 1" % modulus)
     primes = tuple(p for p, _ in factorize(modulus))
     hits = [] if sum(top) else [1]  # Phi_1 = x - 1 divides f when f(1) = 0
     # (n, the fold that n's fold is added up from, index of the last prime divided out)

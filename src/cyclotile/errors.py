@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A CyclotileError is a negative verdict (Inadmissible, NotExists) or a
+refused bound (InputTooLarge); InexactDivision is the one left from the
+polynomial ring. A malformed or out-of-range argument is a plain
+ValueError.
+"""
 
 
 class CyclotileError(Exception):
@@ -9,28 +15,8 @@ class InexactDivision(CyclotileError):
     """Polynomial division did not come out exact over the integers."""
 
 
-class ZeroMask(CyclotileError):
-    """The mask polynomial vanishes modulo x^P - 1, so its spectrum is undefined."""
-
-
-class ModulusMismatch(CyclotileError):
-    """Two objects that must live on the same cyclic group do not."""
-
-
-class NotZeroOne(CyclotileError):
-    """A tile expected to take only the values 0 and 1 does not."""
-
-
 class NotExists(CyclotileError):
     """The requested multitiling fails the divisibility test, so none exists."""
-
-
-class NotPrimePower(CyclotileError):
-    """The group order is not a prime power."""
-
-
-class MultiplicityOutOfRange(CyclotileError):
-    """The multiplicity must satisfy 0 < m <= mask sum for this construction."""
 
 
 class Inadmissible(CyclotileError):
@@ -39,10 +25,6 @@ class Inadmissible(CyclotileError):
     def __init__(self, verdict):
         super().__init__("parameters are inadmissible: %s" % (verdict,))
         self.verdict = verdict
-
-
-class SearchSpaceTooLarge(CyclotileError):
-    """Exhaustive enumeration was refused because 2^P is out of reach."""
 
 
 class InputTooLarge(CyclotileError):

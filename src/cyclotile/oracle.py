@@ -20,10 +20,9 @@ the naive graph-side or tile-side check.
 import collections
 import functools
 
-from .coloring import BLACK, WHITE, CirculantSpec, Coloring, is_perfect_coloring, structured_tile
-from .errors import InputTooLarge, SearchSpaceTooLarge
+from .coloring import BLACK, WHITE, CirculantSpec, Coloring, Tile, is_perfect_coloring, structured_tile
+from .errors import InputTooLarge
 from .record import Record
-from .tiling import Tile, verify_multitiling
 
 MAX_EXHAUSTIVE_ORDER = 24
 # a limited colouring search refuses a larger P before building anything: past it the
@@ -66,17 +65,15 @@ def search_colorings(
     search stops after that many hits and the report says whether the
     enumeration ran to the end. Every hit is confirmed by is_perfect_coloring.
 
-    max_states bounds the work: a search that would classify more states
-    than that raises SearchSpaceTooLarge, naming the counter position it
-    reached. The default lets every search at P <= MAX_EXHAUSTIVE_ORDER
-    run in full, since one weight class there has at most C(24, 12) states.
-    Past MAX_LIMITED_ORDER even a limited search raises InputTooLarge,
-    before it builds anything.
+    Each bound raises InputTooLarge. A search that would classify more
+    than max_states states names the counter position it reached; the
+    default lets every search at P <= MAX_EXHAUSTIVE_ORDER run in full, as
+    one weight class there has at most C(24, 12) states. A larger P needs
+    a limit, and past MAX_LIMITED_ORDER even a limited search is refused.
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER and limit is None:
-        raise SearchSpaceTooLarge("2^%d states; pass a limit or stay at P <= %d"
-                                  % (p, MAX_EXHAUSTIVE_ORDER))
+        raise InputTooLarge("2^%d states; pass a limit or stay at P <= %d" % (p, MAX_EXHAUSTIVE_ORDER))
     if p > MAX_LIMITED_ORDER:
         raise InputTooLarge("P = %d is above the %d this oracle searches even with a limit"
                             % (p, MAX_LIMITED_ORDER))
@@ -104,9 +101,11 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     The masks come from _covers; only a hit is built as a Tile, and
     verify_multitiling, the naive convolution, confirms each one.
     """
+    from .tiling import verify_multitiling  # on use: the colouring searches need no tile algebra
+
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
-        raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
+        raise InputTooLarge("2^%d states is more than this oracle will try" % p)
     out = []
     for mask in _covers(u, m):
         v = Tile(tuple((mask >> g) & 1 for g in range(p)))
@@ -214,7 +213,7 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
     dict local to the call, filled on a first look-up, and costs a block a
     popcount per distinct high weight, a look-up and an AND. The blocks step
     from one high part to the next whose popcount leaves room for weight ones.
-    With max_states, raises SearchSpaceTooLarge after yielding the hits among
+    With max_states, raises InputTooLarge after yielding the hits among
     the first max_states masks classified, if there are more to classify.
     """
     p = len(values)
@@ -285,7 +284,7 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
             yield base | (low.bit_length() - 1)
             acc ^= low
         if stop is not None:
-            raise SearchSpaceTooLarge(
+            raise InputTooLarge(
                 "classified %d states and reached counter position %d of 2^%d;"
                 " raise max_states to go further" % (max_states, base | (stop.bit_length() - 1), p))
         high += 1
@@ -334,7 +333,7 @@ def census_colorings(spec: CirculantSpec) -> dict[tuple[int, int], list[Coloring
     """
     p = spec.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
-        raise SearchSpaceTooLarge("2^%d states is more than this oracle will try" % p)
+        raise InputTooLarge("2^%d states is more than this oracle will try" % p)
     census: dict[tuple[int, int], list[Coloring]] = {}
     for mask, (b, c) in _classified(spec, range(1 << p)):
         census.setdefault((b, c), []).append(_confirmed(spec, Coloring(_colors_of(mask, p), b, c)))

@@ -11,30 +11,10 @@ constant times the spectrum's cofactor, a truncated Moebius series, and
 the 0/1 prime-power one is a sum of two digit sets.
 """
 
+from .coloring import Tile
 from .cyclotomic import divisor_spectrum
-from .errors import (
-    ModulusMismatch,
-    MultiplicityOutOfRange,
-    NotExists,
-    NotPrimePower,
-)
+from .errors import NotExists
 from .record import Record
-
-
-class Tile(Record):
-    """An integer-valued function on Z/PZ, one value per group element."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        values = tuple(values)
-        if not values:
-            raise ValueError("a tile needs at least one value")
-        self._store(values)
-
-    @property
-    def modulus(self) -> int:
-        return len(self.values)
 
 
 class ExistenceVerdict(Record):
@@ -63,7 +43,7 @@ class MultitilingWitness(Record):
 def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
     """Check by direct convolution that v covers the group m-fold with tile u."""
     if u.modulus != v.modulus:
-        raise ModulusMismatch("tiles live on groups of order %d and %d" % (u.modulus, v.modulus))
+        raise ValueError("tiles live on groups of order %d and %d" % (u.modulus, v.modulus))
     p = u.modulus
     for g in range(p):
         total = 0
@@ -115,8 +95,9 @@ def construct_multitiling(u: Tile, multiplicity: int) -> MultitilingWitness:
 def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     """Build a 0/1 m-tiling on a prime-power group.
 
-    Requires 0 < m <= mask sum, then a prime-power group order, then a
-    passing existence test. On P = p^a the product of the cyclotomic divisors Phi_{p^j}, j in S, is the
+    Raises ValueError unless 0 < m <= mask sum, then unless the group
+    order is a prime power, and NotExists unless the existence test
+    passes. On P = p^a the product of the cyclotomic divisors Phi_{p^j}, j in S, is the
     indicator of the digit set D_S = {sum over j in S of e_j p^(j-1) :
     0 <= e_j < p}, and (x^P - 1) / ((x - 1) times that product) is the
     indicator of D_T for the other exponents T. The witness takes the
@@ -127,10 +108,10 @@ def construct_tiling_prime_power(u: Tile, multiplicity: int) -> Tile:
     """
     mask_sum = sum(u.values)
     if multiplicity <= 0 or multiplicity > mask_sum:
-        raise MultiplicityOutOfRange("need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity))
+        raise ValueError("need 0 < m <= %d, got m = %d" % (mask_sum, multiplicity))
     verdict = multitiling_exists(u, multiplicity)
     if not verdict.exact:
-        raise NotPrimePower("group order %d is not a prime power" % u.modulus)
+        raise ValueError("group order %d is not a prime power" % u.modulus)
     if not verdict.passed:
         raise NotExists("no %d-multitiling exists for this tile" % multiplicity)
     (base,) = verdict.spectrum.primes

@@ -20,7 +20,7 @@ from cyclotile.coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from cyclotile.errors import InputTooLarge, ModulusMismatch, NotZeroOne
+from cyclotile.errors import InputTooLarge
 from cyclotile.oracle import search_tilings
 from cyclotile.tiling import (
     Tile,
@@ -144,7 +144,7 @@ def test_is_perfect_examples():
 
 
 def test_is_perfect_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
+    with pytest.raises(ValueError, match="graph on 4 vertices, colouring on 2"):
         is_perfect_coloring(CirculantSpec(4, (1,)), Coloring("BW", 1, 1))
 
 
@@ -156,7 +156,7 @@ def test_coloring_to_tiling_examples():
 
 def test_tiling_to_coloring_examples():
     assert tiling_to_coloring(Tile((1, 1, 0, 0)), 1, 1).colors == "BBWW"
-    with pytest.raises(NotZeroOne):
+    with pytest.raises(ValueError, match="tile values must all be 0 or 1"):
         tiling_to_coloring(Tile((2, 0, 0)), 1, 1)
 
 
@@ -277,7 +277,7 @@ def test_perfect_parameters_many_jumps_at_large_order():
 def test_perfect_parameters_rejects_bad_colors():
     spec = CirculantSpec(4, (1,))
     for colors in ("BBWWBBWW", "BW", "BBWWX"):
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ValueError, match="graph on 4 vertices, colouring on %d$" % len(colors)):
             perfect_parameters(spec, colors)
     for colors in ("BBWX", "bbww"):
         with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ def test_perfect_parameters_rejects_bad_colors_either_side_of_byte_digits():
     for k in (127, 128):
         spec = CirculantSpec(4, (1,) * k)
         for colors in ("BBWWB", "BW", "", "BBWWBBWW"):
-            with pytest.raises(ModulusMismatch):
+            with pytest.raises(ValueError, match="graph on 4 vertices, colouring on %d$" % len(colors)):
                 perfect_parameters(spec, colors)
         for colors in ("BBWX", "bbww", "BBW\u00e9", "WWWX", "XXXX", "BB\x01W", "B\x00WW",
                        "\u00e9\u00e9\u00e9\u00e9"):

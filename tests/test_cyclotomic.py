@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cyclotile.arith import factorize
 from cyclotile.cyclotomic import cyclotomic, cyclotomic_divides, divisor_spectrum
-from cyclotile.errors import ZeroMask
 from cyclotile.polyring import IntPolynomial, poly_divmod
 from reference import cyclic_fold, is_prime_power
 
@@ -130,10 +129,10 @@ def test_spectrum_unit():
 
 
 def test_spectrum_zero_mask():
-    with pytest.raises(ZeroMask):
+    with pytest.raises(ValueError, match="mask vanishes modulo x\\^5 - 1"):
         divisor_spectrum([0] * 5)
     # x^4 - 1 vanishes mod itself
-    with pytest.raises(ZeroMask):
+    with pytest.raises(ValueError, match="mask vanishes modulo x\\^4 - 1"):
         divisor_spectrum(cyclic_fold(x_power_minus_one(4).coeffs, 4))
     # no values is no group, as for a tile
     with pytest.raises(ValueError):
@@ -321,7 +320,7 @@ def test_spectrum_matches_division_on_random_masks(case):
     p, mask = case
     reduced = cyclic_fold(mask, p)
     if not any(reduced):
-        with pytest.raises(ZeroMask):
+        with pytest.raises(ValueError, match="mask vanishes modulo x\\^%d - 1" % p):
             divisor_spectrum(reduced)
         return
     spec = divisor_spectrum(reduced)

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from reference import split_sums
 
-from cyclotile import oracle
+from cyclotile import oracle, tiling
 from cyclotile.coloring import (
     CirculantSpec,
     Coloring,
@@ -18,7 +18,7 @@ from cyclotile.coloring import (
     structured_tile,
     tiling_to_coloring,
 )
-from cyclotile.errors import InputTooLarge, NotExists, SearchSpaceTooLarge
+from cyclotile.errors import InputTooLarge, NotExists
 from cyclotile.oracle import (
     census_colorings,
     search_colorings,
@@ -63,7 +63,7 @@ def test_search_colorings_limit():
 
 
 def test_search_colorings_too_large():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(InputTooLarge, match="2\\^25 states; pass a limit or stay at P <= 24"):
         search_colorings(CirculantSpec(25, (1,)), 1, 1)
     # a limit caps the work and is allowed; C_25(5, 10) splits into five
     # cliques on {i, i+5, ..., i+20}, so one all-black clique gives the
@@ -94,7 +94,7 @@ def test_search_colorings_order_cap():
     # default limit on int to decimal conversion
     spec = CirculantSpec(oracle.MAX_LIMITED_ORDER, (1,))
     assert str(search_colorings(spec, 1, 2, limit=1).states_examined) == str(2**spec.modulus)
-    with pytest.raises(SearchSpaceTooLarge, match="classified 1000 states and reached counter position"):
+    with pytest.raises(InputTooLarge, match="classified 1000 states and reached counter position"):
         search_colorings(spec, 1, 1, limit=1, max_states=1000)
 
 
@@ -116,7 +116,7 @@ def test_search_colorings_beyond_degree_skips_the_sweep():
                        (CirculantSpec(30, (1, 2)), 9, 1)]:
         report = search_colorings(spec, b, c, limit=1)
         assert report == oracle.SearchReport((), True, 2**spec.modulus)
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(InputTooLarge, match="2\\^30 states; pass a limit or stay at P <= 24"):
         search_colorings(CirculantSpec(30, (1, 2)), 9, 1)
 
 
@@ -136,7 +136,7 @@ def test_search_tilings_counter_order():
 
 
 def test_search_tilings_too_large():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(InputTooLarge, match="2\\^25 states is more than this oracle will try"):
         search_tilings(Tile((1,) + (0,) * 24), 1)
 
 
@@ -219,11 +219,12 @@ def test_search_tilings_confirms_each_hit_once(monkeypatch):
         calls.append(v)
         return verify_multitiling(u, v, m)
 
-    monkeypatch.setattr(oracle, "verify_multitiling", counting)
+    # search_tilings imports verify_multitiling from tiling when it is called
+    monkeypatch.setattr(tiling, "verify_multitiling", counting)
     spec = CirculantSpec(12, (1, 2))
     found = search_tilings(structured_tile(spec, 2, 2), 2)
     assert calls == found and len(found) >= 1
-    monkeypatch.setattr(oracle, "verify_multitiling", lambda u, v, m: False)
+    monkeypatch.setattr(tiling, "verify_multitiling", lambda u, v, m: False)
     with pytest.raises(AssertionError):
         search_tilings(structured_tile(spec, 2, 2), 2)
 
@@ -329,7 +330,7 @@ def test_census_buckets_are_perfect():
 
 
 def test_census_too_large():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(InputTooLarge, match="2\\^25 states is more than this oracle will try"):
         census_colorings(CirculantSpec(25, (1,)))
 
 
@@ -365,7 +366,7 @@ def _bounded(spec, b, c, limit, max_states, perfect):
 def _searched(spec, b, c, limit, max_states=2**oracle.MAX_EXHAUSTIVE_ORDER):
     try:
         report = search_colorings(spec, b, c, limit, max_states)
-    except SearchSpaceTooLarge as exc:
+    except InputTooLarge as exc:
         return str(exc)
     return [_mask_of(col.colors) for col in report.found], report.exhausted, report.states_examined
 
@@ -428,7 +429,7 @@ def test_search_colorings_max_states_bounds_the_classified_states():
     spec = CirculantSpec(8, (1, 2))
     full = search_colorings(spec, 2, 2)
     assert search_colorings(spec, 2, 2, max_states=70) == full
-    with pytest.raises(SearchSpaceTooLarge) as exc:
+    with pytest.raises(InputTooLarge, match="raise max_states to go further") as exc:
         search_colorings(spec, 2, 2, max_states=69)
     # the 70th mask of weight 4 is 0b11110000: the counter stopped there
     assert "classified 69 states" in str(exc.value)
@@ -445,10 +446,10 @@ def test_search_colorings_max_states_with_limit():
     report = search_colorings(spec, 2, 2, limit=1, max_states=needed)
     assert report == search_colorings(spec, 2, 2, limit=1)
     assert [col.colors for col in report.found] == ["BWBWBWBW"] and report.states_examined == 86
-    with pytest.raises(SearchSpaceTooLarge, match="counter position 85 of 2\\^8"):
+    with pytest.raises(InputTooLarge, match="counter position 85 of 2\\^8"):
         search_colorings(spec, 2, 2, limit=1, max_states=needed - 1)
     # a limit past P = 24 is bounded by the states, not by the hits
-    with pytest.raises(SearchSpaceTooLarge, match="classified 1000 states"):
+    with pytest.raises(InputTooLarge, match="classified 1000 states"):
         search_colorings(CirculantSpec(40, (1, 2)), 1, 3, limit=1, max_states=1000)
     # an impossible weight classifies nothing, so any bound is met
     report = search_colorings(CirculantSpec(40, (1, 2)), 1, 2, limit=1, max_states=1)
