@@ -14,7 +14,9 @@ classified with a few big-int operations per vertex, since each vertex's
 sum over the low bits is counted once per call into a few bit planes
 over the block's states. Every count is a direct weighted sum of state
 bits, with no convolution and no algebra, and every hit is confirmed by
-the naive graph-side or tile-side check.
+the naive graph-side or tile-side check: the tile side checks the hit's
+mass, then sums each row of the convolution over the hit's ones. A hit's
+colour string and 0/1 tile are read off one binary string of its mask.
 """
 
 import collections
@@ -46,8 +48,12 @@ class SearchReport(Record):
     __slots__ = ("found", "exhausted", "states_examined")
 
 
+# a state's binary digits, vertex 0's last, read as colours
+_COLOR_OF_DIGIT = str.maketrans("10", BLACK + WHITE)
+
+
 def _colors_of(mask: int, modulus: int) -> str:
-    return "".join(BLACK if (mask >> g) & 1 else WHITE for g in range(modulus))
+    return format(mask, "0%db" % modulus)[::-1].translate(_COLOR_OF_DIGIT)
 
 
 def search_colorings(
@@ -99,16 +105,17 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
 
     The masks come from _covers; only a hit is built as a Tile, and
-    verify_multitiling, the naive convolution, confirms each one.
+    verify_multitiling, the direct convolution, confirms each one.
     """
     from .tiling import verify_multitiling  # on use: the colouring searches need no tile algebra
 
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise InputTooLarge("2^%d states is more than this oracle will try" % p)
+    digits = "0%db" % p
     out = []
     for mask in _covers(u, m):
-        v = Tile(tuple((mask >> g) & 1 for g in range(p)))
+        v = Tile(tuple(map(int, format(mask, digits)[::-1])))
         if not verify_multitiling(u, v, m):
             raise AssertionError("oracle cover count disagrees with the direct convolution")
         out.append(v)

@@ -3,6 +3,9 @@
 A tile is an integer-valued function on Z/PZ. A second tile v is an
 m-multitiling for u when the cyclic convolution of u and v is the
 constant m; when v only takes the values 0 and 1 it is an m-tiling.
+verify_multitiling checks a given v directly: first its mass, as
+sum(u) * sum(v) must be P * m, then the convolution row by row, each row
+summed over v's nonzero values.
 Existence of an m-multitiling is decided exactly by a divisibility test
 on the mask polynomial of u. The verdict carries the cyclotomic divisor
 spectrum it was decided on, and both witnesses are built from that same
@@ -41,14 +44,24 @@ class MultitilingWitness(Record):
 
 
 def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
-    """Check by direct convolution that v covers the group m-fold with tile u."""
+    """Check by direct convolution that v covers the group m-fold with tile u.
+
+    Summing the cover over the group gives sum(u) * sum(v), so a v whose
+    mass is not P * m is rejected before any row. Otherwise row g, the
+    sum of u(g - h) * v(h), runs over v's nonzero values only, and the
+    check stops at the first row that is not m.
+    """
     if u.modulus != v.modulus:
         raise ValueError("tiles live on groups of order %d and %d" % (u.modulus, v.modulus))
     p = u.modulus
+    values = u.values
+    if sum(values) * sum(v.values) != p * multiplicity:
+        return False
+    support = [(h, x) for h, x in enumerate(v.values) if x]
     for g in range(p):
         total = 0
-        for h in range(p):
-            total += u.values[(g - h) % p] * v.values[h]
+        for h, x in support:
+            total += values[(g - h) % p] * x
         if total != multiplicity:
             return False
     return True

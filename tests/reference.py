@@ -42,6 +42,18 @@ def value_at(coeffs, point):
     return sum(cf * point**e for e, cf in enumerate(coeffs))
 
 
+def direct_cover(u, v):
+    """The P cover counts of v by tile u: at each g the sum of u(g - h) v(h) over every h."""
+    p = len(u)
+    out = []
+    for g in range(p):
+        total = 0
+        for h in range(p):
+            total += u[(g - h) % p] * v[h]
+        out.append(total)
+    return out
+
+
 def split_sums(weights, full, bits):
     """{t: the block states whose bits h, weighted by a, sum to t} for the (h, a) in weights.
 

@@ -11,6 +11,8 @@ from reference import split_sums
 
 from cyclotile import oracle, tiling
 from cyclotile.coloring import (
+    BLACK,
+    WHITE,
     CirculantSpec,
     Coloring,
     coloring_to_tiling,
@@ -227,6 +229,20 @@ def test_search_tilings_confirms_each_hit_once(monkeypatch):
     monkeypatch.setattr(tiling, "verify_multitiling", lambda u, v, m: False)
     with pytest.raises(AssertionError):
         search_tilings(structured_tile(spec, 2, 2), 2)
+
+
+def test_hits_read_off_one_binary_string_match_the_per_bit_expressions(monkeypatch):
+    # the colour string and the 0/1 tile of a mask, vertex g from bit g: both ends and
+    # 500 seeded masks at every P the exhaustive searches reach
+    rng = random.Random(63)
+    monkeypatch.setattr(tiling, "verify_multitiling", lambda u, v, m: True)
+    for p in range(1, oracle.MAX_EXHAUSTIVE_ORDER + 1):
+        masks = [0, (1 << p) - 1] + [rng.getrandbits(p) for _ in range(500)]
+        assert [oracle._colors_of(mask, p) for mask in masks] == [
+            "".join(BLACK if (mask >> g) & 1 else WHITE for g in range(p)) for mask in masks]
+        monkeypatch.setattr(oracle, "_covers", lambda u, m: iter(masks))
+        assert search_tilings(Tile((1,) * p), 1) == [
+            Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in masks]
 
 
 def _check_agreement(spec, b, c):

@@ -1,8 +1,10 @@
 """Multitiling verification, existence, and the two constructions."""
 
+import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from cyclotile.tiling import (
     multitiling_exists,
     verify_multitiling,
 )
-from reference import coefficient_sum, cyclic_fold, is_prime_power
+from reference import coefficient_sum, cyclic_fold, direct_cover, is_prime_power
 
 
 def folded_tile(f, p):
@@ -45,6 +47,79 @@ def test_verify_examples():
 def test_verify_modulus_mismatch():
     with pytest.raises(ValueError, match="tiles live on groups of order 2 and 3"):
         verify_multitiling(Tile((1, 0)), Tile((1, 0, 0)), 1)
+    # raised before the mass check: masses that disagree on either group, and that would agree
+    for u, v, m in [((1, 1), (0, 0, 0), 5), ((1, 0), (1, 1, 1), 1), ((2,), (1, 1), 1), ((1, 0, 0), (0,), 0)]:
+        with pytest.raises(ValueError, match="tiles live on groups of order %d and %d" % (len(u), len(v))):
+            verify_multitiling(Tile(u), Tile(v), m)
+
+
+def _cover_cases(rng):
+    """(u, v, m) value tuples for the verdict test, and the tiles search_tilings hits at P <= 12."""
+    cases = []
+    for _ in range(2000):
+        p = rng.choice([1, 1, 2, 3, rng.randrange(4, 13), rng.randrange(13, 25)])
+        u = tuple(rng.randrange(-3, 4) if rng.random() < 0.7 else 0 for _ in range(p))
+        shape = rng.randrange(4)
+        if shape == 0:
+            v = (0,) * p
+        elif shape == 1:  # dense, no zero
+            v = tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(p))
+        elif shape == 2:  # a constant v covers with j * sum(u) everywhere
+            v = (rng.randrange(-2, 4),) * p
+        else:
+            v = tuple(rng.randrange(-2, 3) if rng.random() < 0.5 else 0 for _ in range(p))
+        mass = sum(u) * sum(v)
+        m = mass // p if mass % p == 0 and rng.random() < 0.7 else rng.randrange(-6, 7)
+        cases.append((u, v, m))
+    hits = []
+    for p in range(3, 13):
+        spec = CirculantSpec(p, (1, 2))
+        for b in range(1, 5):
+            for c in range(1, 5):
+                u = structured_tile(spec, b, c)
+                hits += [(u.values, v.values, c) for v in search_tilings(u, c)]
+        for _ in range(3):
+            u = Tile(tuple(rng.randrange(0, 3) for _ in range(p)))
+            for m in range(0, 4):
+                hits += [(u.values, v.values, m) for v in search_tilings(u, m)]
+    return cases, hits
+
+
+def test_verify_matches_the_direct_cover():
+    # the mass check and the rows over v's support give the verdict of the full double
+    # loop: signed values in both tiles, zeros, all-zero and dense v, P = 1, m = 0 and
+    # m < 0, masses that agree and that do not, and every search_tilings hit at P <= 12
+    cases, hits = _cover_cases(random.Random(29))
+    seen = collections.Counter()
+    for u, v, m in cases + hits:
+        p = len(u)
+        verdict = verify_multitiling(Tile(u), Tile(v), m)
+        assert verdict == (direct_cover(u, v) == [m] * p), (u, v, m)
+        agrees = sum(u) * sum(v) == p * m
+        seen["agree", verdict] += agrees
+        seen["disagree"] += not agrees
+        seen["P = 1"] += p == 1
+        seen["zero v"] += not any(v)
+        seen["dense v"] += p > 1 and all(v)
+        seen["signed"] += min(u) < 0 < max(u) and min(v) < 0 < max(v)
+        seen["m = 0"] += m == 0
+        seen["m < 0"] += m < 0
+    assert len(cases) + len(hits) >= 2000 and len(hits) > 100
+    assert min(seen.values()) > 50, seen
+
+
+def test_verify_rejects_a_wrong_mass_in_linear_time():
+    # on 2^16 vertices, v the first 64 and u all ones but a 2 at P - 64: every row is 64
+    # but the last 64 rows, so the rows alone would take ~4e6 steps over v's support
+    # (~4e9 over every cell) before one fails, and only the mass check rejects v at once
+    p = 1 << 16
+    u = Tile((1,) * (p - 64) + (2,) + (1,) * 63)
+    v = Tile((1,) * 64 + (0,) * (p - 64))
+    start = time.perf_counter()
+    assert not verify_multitiling(u, v, 64)
+    assert time.perf_counter() - start < 0.1
+    rows = [sum(u.values[(g - h) % p] for h in range(64)) for g in (0, p - 65, p - 64, p - 1)]
+    assert rows == [64, 64, 65, 65]
 
 
 def test_exists_examples():
