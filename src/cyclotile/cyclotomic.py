@@ -27,8 +27,9 @@ n-th root of unity that is not primitive, so, x^n - 1 being squarefree,
 it is zero modulo x^n - 1 exactly when Phi_n divides F (Lam and Leung,
 J. Algebra 2000); and that says G has cyclic period s, which as s | n is
 G[s:] == G[:-s]. So Phi_n | F takes r - 1 shift-and-subtract passes and
-one comparison, and no pass at a prime-power n. cyclotomic_divides, by
-long division, stays as the direct test.
+one comparison, and no pass at a prime-power n. The walk's steps depend
+on P alone, so they are built once per P, from P's one factorization,
+and cached. cyclotomic_divides, by long division, stays as the direct test.
 """
 
 import functools
@@ -159,46 +160,60 @@ def divisor_spectrum(values: Sequence[int]) -> DivisorSpectrum:
     """Spectrum of the mask f = sum of values[e] x^e on the cyclic group of order P = len(values).
 
     An empty sequence is a ValueError, and so is a zero mask, which has
-    every answer trivially yes. No Phi_n is built and
-    nothing is divided. For each n | P the fold F of f modulo
-    x^n - 1, which Phi_n divides, is added up from the fold for n * p;
-    dividing the primes of P out in ascending order reaches every n
-    once, and the folds kept hold at most about 2P coefficients. Phi_n | F
-    is the periodicity G[s:] == G[:-s] of the module docstring, or f(1) = 0
-    at n = 1: with r primes of n, r - 1 passes and one comparison, so at
-    a prime-power P the walk is folds and comparisons with no pass.
+    every answer trivially yes. No Phi_n is built and nothing is
+    divided. The walk is _spectrum_plan(P), made once per P and reused:
+    for each n | P the fold F of f modulo x^n - 1, which Phi_n divides,
+    is added up from the fold for n * p on the walk's path, and the
+    folds kept hold at most about 2P coefficients. Phi_n | F is the
+    periodicity G[s:] == G[:-s] of the module docstring, or f(1) = 0 at
+    n = 1: with r primes of n, r - 1 passes and one comparison, so at a
+    prime-power P the walk is folds and comparisons with no pass.
     """
-    top = list(values)
+    top = tuple(values)
     modulus = len(top)
     if not modulus:
         raise ValueError("a mask needs at least one value")
-    if not any(top):
+    total = sum(top)
+    if not total and not any(top):
         raise ValueError("mask vanishes modulo x^%d - 1" % modulus)
-    primes = tuple(p for p, _ in factorize(modulus))
-    hits = [] if sum(top) else [1]  # Phi_1 = x - 1 divides f when f(1) = 0
-    # (n, the fold that n's fold is added up from, index of the last prime divided out)
-    pending = [(modulus, top, 0)]
-    while pending:
-        n, outer, first = pending.pop()
-        fold = _fold(outer, n)
-        shifts = []
-        for i, p in enumerate(primes):
-            if n % p == 0:
-                shifts.append(n // p)
-                if i >= first and n > p:  # never an earlier prime, and n = 1 is decided above
-                    pending.append((n // p, fold, i))
-        if shifts:
-            period, product = shifts.pop(), fold
-            for shift in shifts:  # a[i] <- a[i - shift] - a[i], cyclically
-                product = list(map(sub, product[-shift:] + product[:-shift], product))
-            if product[period:] == product[:-period]:
-                hits.append(n)
+    primes, plan = _spectrum_plan(modulus)
+    hits = [] if total else [1]  # Phi_1 = x - 1 divides f when f(1) = 0
+    folds = [top]  # the mask, then the folds on the path from P down to n
+    for n, outer, starts, shifts, upper, lower in plan:
+        parent = folds[outer]
+        fold = parent[:n]
+        for start in starts:  # the sum of the parent's blocks of length n
+            fold = list(map(add, fold, parent[start:start + n]))
+        del folds[outer + 1:]
+        folds.append(fold)
+        for shift in shifts:  # a[i] <- a[i - shift] - a[i], cyclically
+            fold = list(map(sub, fold[-shift:] + fold[:-shift], fold))
+        if fold[upper] == fold[lower]:  # G[s:] == G[:-s]
+            hits.append(n)
     return DivisorSpectrum(modulus, primes, frozenset(hits))
 
 
-def _fold(values: list[int], n: int) -> list[int]:
-    """values modulo x^n - 1, for a length that n divides: the sum of its blocks of length n."""
-    fold = values[:n]
-    for start in range(n, len(values), n):
-        fold = list(map(add, fold, values[start:start + n]))
-    return fold
+@functools.lru_cache(maxsize=128)
+def _spectrum_plan(modulus: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The primes of P and divisor_spectrum's walk, which depend on P alone.
+
+    Dividing the primes of P out in ascending order reaches every n | P,
+    n > 1, once, depth first. Its step (n, outer, starts, shifts, upper,
+    lower) adds n's fold up from the blocks at starts of the fold at
+    index outer of the walk's stack, the mask being index 0, then makes
+    the r - 1 passes by shifts and compares the slices upper and lower,
+    [s:] and [:-s]. Plans are cached, so P is factorized once while its
+    plan stays in the cache.
+    """
+    primes = tuple(p for p, _ in factorize(modulus))
+    plan = []
+    pending = [(modulus, 0, 0, modulus)] if modulus > 1 else []  # n = 1 is decided by f(1)
+    while pending:  # (n, outer, the first prime to divide out, the parent's length)
+        n, outer, first, size = pending.pop()
+        shifts = [n // p for p in primes if n % p == 0]
+        period = shifts.pop()
+        plan.append((n, outer, range(n, size, n), tuple(shifts),
+                     slice(period, None), slice(None, -period)))
+        pending += [(n // p, outer + 1, i, n) for i, p in enumerate(primes)
+                    if i >= first and n % p == 0 and n > p]
+    return primes, tuple(plan)

@@ -80,9 +80,9 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     """
     if multiplicity == 0:
         raise ValueError("multiplicity must be nonzero")
-    if not any(u.values):
-        return ExistenceVerdict(False, None)
     mask_sum = sum(u.values)
+    if not mask_sum and not any(u.values):
+        return ExistenceVerdict(False, None)
     spectrum = divisor_spectrum(u.values)
     passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
     return ExistenceVerdict(passed, spectrum)

@@ -143,8 +143,12 @@ def test_graph_condition_is_the_existence_verdict_of_the_structured_tile():
 
 
 def count_factorize(monkeypatch) -> list:
-    """Patch factorize in every module that binds it; the numbers it is called with."""
+    """Patch factorize in every module that binds it; the numbers it is called with.
+
+    The spectrum plans are cleared first, so each group order is factorized afresh.
+    """
     # the name cyclotile.cyclotomic is the function, so the modules are reached through sys.modules
+    sys.modules["cyclotile.cyclotomic"]._spectrum_plan.cache_clear()
     original = sys.modules["cyclotile.arith"].factorize
     calls = []
 
@@ -163,11 +167,15 @@ def count_factorize(monkeypatch) -> list:
 @pytest.mark.parametrize("triple", [(1, 255, 128), (3, 7, 6), (2, 10, 7), (3, 3, 2)])
 def test_a_construction_factorizes_a_few_numbers_only(monkeypatch, triple):
     # N once, in the admissibility verdict that the residues and the prime-power decision
-    # read, and P once, in the spectrum whose primes the tiling and the exact flag read
+    # read, and P once, in the spectrum plan whose primes the tiling and the exact flag read;
+    # a second construction reuses the plan, so it factorizes N only
     params = ParamTriple(*triple)
     calls = count_factorize(monkeypatch)
     witness = construct_perfect_coloring(params)
     assert calls == [params.reduced_sum, witness.spec.modulus]
+    calls.clear()
+    assert construct_perfect_coloring(params) == witness
+    assert calls == [params.reduced_sum]
     if triple == (3, 3, 2):
         # gcd 3, N = 2 and P = 4 are prime powers, b + c = 6 is not: only the certificate
         assert witness.coloring is None and witness == construct_distances(params)
@@ -177,6 +185,9 @@ def test_a_multitiling_factorizes_its_group_order_once(monkeypatch):
     calls = count_factorize(monkeypatch)
     witness = construct_multitiling(Tile((1, 1, 1) + (0,) * 9), 3)
     assert calls == [12] and witness.multiplier == 3  # m d(1) / masksum = 3 * 3 / 3
+    # a rotation of the tile, on the same group, reuses the plan of P = 12 and factorizes nothing
+    assert construct_multitiling(Tile((0, 1, 1, 1) + (0,) * 8), 3).multiplier == 3
+    assert calls == [12]
 
 
 def test_prime_power_sum_decision_matches_is_prime_power():

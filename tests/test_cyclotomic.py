@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cyclotile.arith import factorize
-from cyclotile.cyclotomic import cyclotomic, cyclotomic_divides, divisor_spectrum
+from cyclotile.cyclotomic import _spectrum_plan, cyclotomic, cyclotomic_divides, divisor_spectrum
 from cyclotile.polyring import IntPolynomial, poly_divmod
 from reference import cyclic_fold, is_prime_power
 
@@ -289,6 +289,41 @@ def test_spectrum_matches_division_on_every_small_mask():
         powers = [n for n in spec.divisors if is_prime_power(n)]
         assert spec.prime_power_product == math.prod(factorize(n)[0][0] for n in powers), (p, mask)
     assert checks == 44021
+
+
+def test_spectrum_plans_evicted_and_rebuilt_give_the_same_spectra():
+    # more group orders than the plan cache holds, visited in two shuffled passes with a
+    # revisit of a recent one after each: plans are evicted, rebuilt and reused in turn
+    squarefree = [p for p in range(30, 401) if len(factorize(p)) >= 3 and
+                  all(e == 1 for _, e in factorize(p))]
+    prime_powers = [p for p in range(2, 401) if is_prime_power(p)]
+    moduli = prime_powers + squarefree + [12, 24, 36, 48, 60, 120, 180, 240, 360]
+    assert len(moduli) > _spectrum_plan.cache_info().maxsize
+    rng = random.Random(30)
+    visits = []
+    for _ in range(2):
+        order = rng.sample(moduli, len(moduli))
+        for i, p in enumerate(order):
+            visits += [p, order[max(i - 3, 0)]]
+    _spectrum_plan.cache_clear()
+    zero_folds = 0
+    for p in visits:
+        mask = [rng.choice((-1, 0, 1, 2)) for _ in range(p - 1)] + [rng.choice((-1, 1, 2))]
+        blocks = [n for n in _divisors(p) if 2 * n <= p]
+        if blocks and rng.random() < 0.5:  # a block and its negative: the fold modulo x^n - 1 is 0
+            n = rng.choice(blocks)
+            block = [rng.choice((0, 1)) for _ in range(n - 1)] + [1]
+            mask = block + [-a for a in block] + [0] * (p - 2 * n)
+        spec = divisor_spectrum(mask)
+        assert spec.primes == tuple(q for q in range(2, p + 1)
+                                    if p % q == 0 and all(q % r for r in range(2, q)))
+        for n in _divisors(p):
+            fold = cyclic_fold(mask, n)
+            zero_folds += not any(fold)
+            divides = not any(fold) or cyclotomic_divides(n, IntPolynomial(fold))
+            assert (n in spec.divisors) == divides, (p, mask, n)
+    info = _spectrum_plan.cache_info()
+    assert info.misses > len(moduli) and info.hits > 0 and zero_folds > 0, info
 
 
 @st.composite
