@@ -8,7 +8,9 @@ cyclic convolution of integer tiles, analysed through the cyclotomic
 factors of their mask polynomials.
 
 Each public name is imported from its submodule on first use, so a
-process loads only the submodules it calls.
+process loads only the submodules it calls. It is also the one way a
+submodule defers a sibling (cyclotile.<name>, never an import inside a
+function), so every deferred name is public.
 """
 
 import importlib

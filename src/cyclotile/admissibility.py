@@ -14,12 +14,14 @@ one prime of N, so it is then the paper's sufficient bound as well.
 from math import gcd
 from operator import add, mul
 
+import cyclotile
+
 from .arith import crt_basis, factorize
 from .errors import Inadmissible, InputTooLarge, NotExists
 from .record import Record
 
-# The colouring and tiling layers are imported where they are first used, so
-# deciding admissibility (params check, table) loads none of the tile algebra.
+# The colouring and tiling layers are reached through the package namespace, which loads
+# them on first use, so deciding admissibility (params check, table) loads no tile algebra.
 
 # a construction lists k distances on a group of order at most 8k; larger k is refused
 MAX_DISTANCES = 100_000
@@ -121,10 +123,7 @@ def check_graph_condition(spec: "CirculantSpec", b: int, c: int) -> "ExistenceVe
         raise ValueError("the graph needs at least 2 vertices")
     if b < 1 or c < 1:
         raise ValueError("b and c must be positive")
-    from .coloring import structured_tile
-    from .tiling import multitiling_exists
-
-    return multitiling_exists(structured_tile(spec, b, c), c)
+    return cyclotile.multitiling_exists(cyclotile.structured_tile(spec, b, c), c)
 
 
 def _half_range(modulus: int, copies: int) -> list[int]:
@@ -183,8 +182,6 @@ def _admitted(params: ParamTriple) -> AdmissibilityVerdict:
 
 
 def _lifted_distances(params: ParamTriple, verdict: AdmissibilityVerdict) -> ConstructionWitness:
-    from .coloring import CirculantSpec
-
     per_prime = _per_prime_residues(params, verdict.prime_powers)
     basis, period = crt_basis([pp.modulus for pp in per_prime])  # N for odd N, else 2N
     distances = [0] * params.k  # sum over the primes of residue * e_i, one prime at a time
@@ -193,9 +190,9 @@ def _lifted_distances(params: ParamTriple, verdict: AdmissibilityVerdict) -> Con
     distances = [d % period for d in distances]
     lift_past = max(pp.q ** (pp.t + 1) for pp in per_prime)
     idx = distances.index(max(distances))
-    while distances[idx] <= lift_past:
-        distances[idx] += period
-    spec = CirculantSpec(period, tuple(distances))
+    if distances[idx] <= lift_past:  # the fewest whole periods that carry it past lift_past
+        distances[idx] += ((lift_past - distances[idx]) // period + 1) * period
+    spec = cyclotile.CirculantSpec(period, tuple(distances))
     return ConstructionWitness(params, spec, tuple(per_prime), None)
 
 
@@ -212,25 +209,20 @@ def construct_perfect_coloring(params: ParamTriple) -> ConstructionWitness:
     witness = _lifted_distances(params, verdict)
     if not verdict.prime_power_sum(params.color_sum):
         return _checked(witness)
-    from .coloring import is_perfect_coloring, structured_tile, tiling_to_coloring
-    from .tiling import construct_tiling_prime_power
-
-    u = structured_tile(witness.spec, params.b, params.c)
+    u = cyclotile.structured_tile(witness.spec, params.b, params.c)
     try:
-        v = construct_tiling_prime_power(u, params.c)
+        v = cyclotile.construct_tiling_prime_power(u, params.c)
     except NotExists as exc:
         raise AssertionError("constructed distances fail the divisibility condition") from exc
-    col = tiling_to_coloring(v, params.b, params.c)
-    if not is_perfect_coloring(witness.spec, col):
+    col = cyclotile.tiling_to_coloring(v, params.b, params.c)
+    if not cyclotile.is_perfect_coloring(witness.spec, col):
         raise AssertionError("constructed colouring failed the graph-side check")
     return ConstructionWitness(witness.params, witness.spec, witness.per_prime_residues, col)
 
 
 def witness_to_document(witness: ConstructionWitness) -> dict:
     """Serialize a witness as the interchange document plus its construction data."""
-    from .coloring import build_document
-
-    doc = build_document(
+    doc = cyclotile.build_document(
         witness.spec,
         witness.params.b,
         witness.params.c,

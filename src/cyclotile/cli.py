@@ -12,9 +12,10 @@ with the command's code.
 
 argv is checked against one table, GRAMMAR, from which the help and usage
 lines are also written; argparse is not imported, since every cold process
-would pay for it. For the same reason each handler imports what it calls,
-and the library imports its tile algebra where it is first used, so a cold
-process loads only the modules its subcommand needs. `params check` and
+would pay for it. For the same reason handlers and library alike reach
+every module they defer through the package namespace (`cyclotile.<name>`),
+which imports a public name's submodule on first use, so a cold process
+loads only the modules its subcommand needs. `params check` and
 `table` load six (the package, `cli`, `errors`, `admissibility`, `arith` and
 `record`) and none of the tile algebra; verifying a colouring loads none of
 the algebra either.
@@ -29,6 +30,8 @@ import json
 import os
 import sys
 from types import SimpleNamespace
+
+import cyclotile
 
 from .errors import CyclotileError, Inadmissible, InputTooLarge
 
@@ -74,22 +77,14 @@ def _admissibility_payload(verdict) -> dict:
 
 
 def _cmd_params_check(args: SimpleNamespace) -> tuple[int, dict]:
-    from .admissibility import ParamTriple, check_admissible
-
-    verdict = check_admissible(ParamTriple(args.b, args.c, args.k))
+    verdict = cyclotile.check_admissible(cyclotile.ParamTriple(args.b, args.c, args.k))
     return 0 if verdict.admissible else 1, _admissibility_payload(verdict)
 
 
 def _cmd_construct(args: SimpleNamespace) -> tuple[int, dict]:
-    from .admissibility import (
-        ParamTriple,
-        construct_distances,
-        construct_perfect_coloring,
-        witness_to_document,
-    )
-
-    params = ParamTriple(args.b, args.c, args.k)
-    build = construct_distances if args.multitiling_only else construct_perfect_coloring
+    params = cyclotile.ParamTriple(args.b, args.c, args.k)
+    build = (cyclotile.construct_distances if args.multitiling_only
+             else cyclotile.construct_perfect_coloring)
     try:
         witness = build(params)
     except Inadmissible as exc:
@@ -98,17 +93,15 @@ def _cmd_construct(args: SimpleNamespace) -> tuple[int, dict]:
     if witness.coloring is None and not args.multitiling_only:
         print("b + c = %d is not a prime power; emitting the distance "
               "certificate without a colouring" % params.color_sum, file=sys.stderr)
-    return 0, witness_to_document(witness)
+    return 0, cyclotile.witness_to_document(witness)
 
 
 def _cmd_verify(args: SimpleNamespace) -> tuple[int, dict]:
-    from .coloring import Coloring, is_perfect_coloring, parse_document
-
     with open(args.file, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    spec, b, c, colors = parse_document(doc)
+    spec, b, c, colors = cyclotile.parse_document(doc)
     if colors is not None:
-        ok = is_perfect_coloring(spec, Coloring(colors, b, c))
+        ok = cyclotile.is_perfect_coloring(spec, cyclotile.Coloring(colors, b, c))
         return 0 if ok else 1, {
             "kind": "coloring",
             "P": spec.modulus,
@@ -116,15 +109,13 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[int, dict]:
             "c": c,
             "perfect": ok,
         }
-    from .admissibility import ParamTriple, check_graph_condition
-
-    verdict = check_graph_condition(spec, b, c)
+    verdict = cyclotile.check_graph_condition(spec, b, c)
     return 0 if verdict.passed else 1, {
         "kind": "parameters",
         "P": spec.modulus,
         "b": b,
         "c": c,
-        "N": ParamTriple(b, c, spec.k).reduced_sum,
+        "N": cyclotile.ParamTriple(b, c, spec.k).reduced_sum,
         "prime_power_product_at_one": verdict.spectrum.prime_power_product,
         "passes": verdict.passed,
         "exact": verdict.exact,
@@ -132,12 +123,9 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[int, dict]:
 
 
 def _cmd_search(args: SimpleNamespace) -> tuple[int, dict]:
-    from .coloring import CirculantSpec
-    from .oracle import search_colorings
-
-    spec = CirculantSpec(args.P, args.distances)
+    spec = cyclotile.CirculantSpec(args.P, args.distances)
     bound = {} if args.max_states is None else {"max_states": args.max_states}
-    report = search_colorings(spec, args.b, args.c, limit=args.limit, **bound)
+    report = cyclotile.search_colorings(spec, args.b, args.c, limit=args.limit, **bound)
     return 0 if report.found else 1, {
         "P": spec.modulus,
         "distances": list(spec.distances),
@@ -151,18 +139,13 @@ def _cmd_search(args: SimpleNamespace) -> tuple[int, dict]:
 
 
 def _cmd_cyclotomic(args: SimpleNamespace) -> tuple[int, dict]:
-    from .cyclotomic import cyclotomic
-
-    poly = cyclotomic(args.n)
+    poly = cyclotile.cyclotomic(args.n)
     return 0, {"n": args.n, "coeffs": list(poly.coeffs)}
 
 
 def _cmd_spectrum(args: SimpleNamespace) -> tuple[int, dict]:
-    from .admissibility import ParamTriple, check_graph_condition
-    from .coloring import CirculantSpec
-
-    spec = CirculantSpec(args.P, args.distances)
-    verdict = check_graph_condition(spec, args.b, args.c)
+    spec = cyclotile.CirculantSpec(args.P, args.distances)
+    verdict = cyclotile.check_graph_condition(spec, args.b, args.c)
     spectrum = verdict.spectrum  # the tile sums to b + c > 0, so no Phi_1 divides its mask
     return 0 if verdict.passed else 1, {
         "P": spec.modulus,
@@ -172,15 +155,13 @@ def _cmd_spectrum(args: SimpleNamespace) -> tuple[int, dict]:
         "divisors": sorted(spectrum.divisors),
         "prime_power_divisors": sorted(spectrum.prime_power_subset),
         "prime_power_product_at_one": spectrum.prime_power_product,
-        "N": ParamTriple(args.b, args.c, spec.k).reduced_sum,
+        "N": cyclotile.ParamTriple(args.b, args.c, spec.k).reduced_sum,
         "passes": verdict.passed,
         "exact": verdict.exact,
     }
 
 
 def _table_rows(k: int, max_sum: int) -> list[dict]:
-    from .admissibility import ParamTriple, check_admissible
-
     count = max_sum * (max_sum - 1) // 2  # s - 1 rows for each s = 2, ..., max_sum
     if count > MAX_TABLE_ROWS:
         raise InputTooLarge("--max-sum %d gives %d rows, above the cap of %d"
@@ -190,10 +171,10 @@ def _table_rows(k: int, max_sum: int) -> list[dict]:
         verdicts = {}  # N -> its verdict: rows of one sum and one gcd(b, c) share both
         for b in range(1, s):
             c = s - b
-            params = ParamTriple(b, c, k)
+            params = cyclotile.ParamTriple(b, c, k)
             n = params.reduced_sum
             if n not in verdicts:
-                verdicts[n] = check_admissible(params)
+                verdicts[n] = cyclotile.check_admissible(params)
             verdict = verdicts[n]
             pp = verdict.prime_power_sum(s)
             worst = verdict.violations[0] if verdict.violations else None

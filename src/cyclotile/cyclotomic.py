@@ -38,6 +38,8 @@ from collections.abc import Sequence
 from itertools import accumulate
 from operator import add, sub
 
+import cyclotile  # loads polyring on first use of IntPolynomial: the spectrum needs no polynomial
+
 from .arith import factorize
 from .errors import InputTooLarge
 from .record import Record
@@ -45,20 +47,18 @@ from .record import Record
 MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anything is allocated
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def cyclotomic(n: int) -> "IntPolynomial":
     """The n-th cyclotomic polynomial.
 
     Raises InputTooLarge when its degree phi(n) exceeds MAX_DEGREE.
-    Memoized; the cache is written once per key, so concurrent readers
-    only ever observe finished values.
+    Memoized for the 128 most recently used n. The cache is written once
+    per key, so concurrent readers only ever observe finished values.
     """
-    from .polyring import IntPolynomial  # imported on use: the spectrum needs no polynomial
-
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return IntPolynomial([-1, 1])
+        return cyclotile.IntPolynomial([-1, 1])
     primes = [p for p, _ in factorize(n)]
     radical = math.prod(primes)
     top = n // radical * math.prod(p - 1 for p in primes)  # phi(n), the degree
@@ -69,8 +69,8 @@ def cyclotomic(n: int) -> "IntPolynomial":
         base = cyclotomic(radical).coeffs
         spread = [0] * (top + 1)
         spread[::n // radical] = base
-        return IntPolynomial(spread)
-    return IntPolynomial(_mobius_series(dict(_mobius_exponents(n, primes)), top + 1))
+        return cyclotile.IntPolynomial(spread)
+    return cyclotile.IntPolynomial(_mobius_series(dict(_mobius_exponents(n, primes)), top + 1))
 
 
 def _mobius_exponents(n: int, primes: list[int]) -> list[tuple[int, int]]:
@@ -106,11 +106,9 @@ def _mobius_series(exponents: dict[int, int], length: int) -> list[int]:
 
 def cyclotomic_divides(n: int, f: "IntPolynomial") -> bool:
     """Whether the n-th cyclotomic polynomial divides f in Z[x]. f must be nonzero."""
-    from .polyring import poly_divmod
-
     if f.is_zero():
         raise ValueError("divisibility test needs a nonzero polynomial")
-    _, rem = poly_divmod(f, cyclotomic(n))
+    _, rem = cyclotile.poly_divmod(f, cyclotomic(n))
     return rem.is_zero()
 
 

@@ -22,6 +22,8 @@ colour string and 0/1 tile are read off one binary string of its mask.
 import collections
 import functools
 
+import cyclotile  # loads tiling on first use: the colouring searches need no tile algebra
+
 from .coloring import BLACK, WHITE, CirculantSpec, Coloring, Tile, is_perfect_coloring, structured_tile
 from .errors import InputTooLarge
 from .record import Record
@@ -107,8 +109,6 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     The masks come from _covers; only a hit is built as a Tile, and
     verify_multitiling, the direct convolution, confirms each one.
     """
-    from .tiling import verify_multitiling  # on use: the colouring searches need no tile algebra
-
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise InputTooLarge("2^%d states is more than this oracle will try" % p)
@@ -116,7 +116,7 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     out = []
     for mask in _covers(u, m):
         v = Tile(tuple(map(int, format(mask, digits)[::-1])))
-        if not verify_multitiling(u, v, m):
+        if not cyclotile.verify_multitiling(u, v, m):
             raise AssertionError("oracle cover count disagrees with the direct convolution")
         out.append(v)
     return out

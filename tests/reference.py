@@ -77,6 +77,15 @@ def split_sums(weights, full, bits):
     return sums
 
 
+def lift_period_by_period(distances, period, past):
+    """distances with the first largest one raised one period at a time until it exceeds past."""
+    out = list(distances)
+    idx = out.index(max(out))
+    while out[idx] <= past:
+        out[idx] += period
+    return out
+
+
 def is_prime_power(n):
     """True when n = p^e for a prime p and e >= 1, by trial division; 1 is not one."""
     if n < 2:

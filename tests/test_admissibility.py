@@ -28,7 +28,7 @@ from cyclotile.tiling import (
     construct_tiling_prime_power,
     multitiling_exists,
 )
-from reference import is_prime_power, paper_residues
+from reference import is_prime_power, lift_period_by_period, paper_residues
 
 
 def test_param_triple():
@@ -273,6 +273,24 @@ def test_construct_distances_lift_condition():
         w = construct_distances(ParamTriple(b, c, k))
         threshold = max(pp.q ** (pp.t + 1) for pp in w.per_prime_residues)
         assert max(w.spec.distances) > threshold
+
+
+def test_lift_in_one_step_matches_the_period_by_period_loop():
+    # every admissible triple with k <= 12 and b, c <= 2k, and the two prime sums at the
+    # cap's edge, where the loop would run b + c times; below the lift each distance is
+    # its own residue modulo the period
+    triples = [(b, c, k) for k in range(1, 13) for b in range(1, 2 * k + 1)
+               for c in range(1, 2 * k + 1) if check_admissible(ParamTriple(b, c, k))]
+    lifted = 0
+    for b, c, k in triples + [(1, 131070, 65535), (1, 199998, 99999)]:
+        params = ParamTriple(b, c, k)
+        w = admissibility._lifted_distances(params, admissibility._admitted(params))
+        period = w.spec.modulus
+        past = max(pp.q ** (pp.t + 1) for pp in w.per_prime_residues)
+        residues = [d % period for d in w.spec.distances]
+        assert list(w.spec.distances) == lift_period_by_period(residues, period, past), params
+        lifted += residues != list(w.spec.distances)
+    assert len(triples) > 1000 and lifted > 1000
 
 
 def test_construct_distances_are_least_solutions_but_the_lifted_one():

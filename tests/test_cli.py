@@ -10,7 +10,7 @@ import time
 import pytest
 
 import cyclotile
-from cyclotile import cli, coloring
+from cyclotile import cli
 from cyclotile.cli import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
@@ -200,7 +200,7 @@ def test_spectrum_at_a_large_power_of_two(capsys):
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     # a constructed colouring that fails its own graph-side check is a bug,
     # which must not be reported as the negative verdict of exit 1
-    monkeypatch.setattr(coloring, "is_perfect_coloring", lambda spec, col: False)
+    monkeypatch.setattr(cyclotile, "is_perfect_coloring", lambda spec, col: False)
     code, out, err = invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")
     assert code == 3
     assert out == ""

@@ -65,6 +65,25 @@ def test_matches_recursive_division():
         assert cyclotomic(n).coeffs == _recursive_cyclotomic(n).coeffs, n
 
 
+def test_cyclotomic_memo_is_bounded_and_rebuilds_what_it_evicted():
+    # more distinct n than the memo holds: it keeps at most 128, and a polynomial built
+    # before an eviction, rebuilt after it or built last still gives prod_{d | n} Phi_d = x^n - 1
+    cyclotomic.cache_clear()
+    early = [12, 30, 105]
+    for n in early:
+        assert product_of_cyclotomics(d for d in range(1, n + 1) if n % d == 0) == \
+            x_power_minus_one(n), n
+    for n in range(1, 401):
+        cyclotomic(n)
+    info = cyclotomic.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128 and info.misses > 128
+    for n in early + [396, 400]:
+        assert product_of_cyclotomics(d for d in range(1, n + 1) if n % d == 0) == \
+            x_power_minus_one(n), n
+    assert cyclotomic.cache_info().misses > info.misses  # the early ones were evicted
+    assert cyclotomic.cache_info().currsize <= 128
+
+
 def test_new_prime_identity_at_seven_primes():
     # Phi_m(x^p) = Phi_mp(x) * Phi_m(x) for a prime p not dividing m; here 510510 = 30030 * 17
     base = cyclotomic(30030).coeffs

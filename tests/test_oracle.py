@@ -9,7 +9,8 @@ import tracemalloc
 import pytest
 from reference import split_sums
 
-from cyclotile import oracle, tiling
+import cyclotile
+from cyclotile import oracle
 from cyclotile.coloring import (
     BLACK,
     WHITE,
@@ -221,12 +222,12 @@ def test_search_tilings_confirms_each_hit_once(monkeypatch):
         calls.append(v)
         return verify_multitiling(u, v, m)
 
-    # search_tilings imports verify_multitiling from tiling when it is called
-    monkeypatch.setattr(tiling, "verify_multitiling", counting)
+    # search_tilings looks verify_multitiling up in the package namespace when it is called
+    monkeypatch.setattr(cyclotile, "verify_multitiling", counting)
     spec = CirculantSpec(12, (1, 2))
     found = search_tilings(structured_tile(spec, 2, 2), 2)
     assert calls == found and len(found) >= 1
-    monkeypatch.setattr(tiling, "verify_multitiling", lambda u, v, m: False)
+    monkeypatch.setattr(cyclotile, "verify_multitiling", lambda u, v, m: False)
     with pytest.raises(AssertionError):
         search_tilings(structured_tile(spec, 2, 2), 2)
 
@@ -235,7 +236,7 @@ def test_hits_read_off_one_binary_string_match_the_per_bit_expressions(monkeypat
     # the colour string and the 0/1 tile of a mask, vertex g from bit g: both ends and
     # 500 seeded masks at every P the exhaustive searches reach
     rng = random.Random(63)
-    monkeypatch.setattr(tiling, "verify_multitiling", lambda u, v, m: True)
+    monkeypatch.setattr(cyclotile, "verify_multitiling", lambda u, v, m: True)
     for p in range(1, oracle.MAX_EXHAUSTIVE_ORDER + 1):
         masks = [0, (1 << p) - 1] + [rng.getrandbits(p) for _ in range(500)]
         assert [oracle._colors_of(mask, p) for mask in masks] == [

@@ -1,5 +1,6 @@
 """The package namespace: each public name loads its submodule on first use."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -39,6 +40,31 @@ def test_every_public_name_is_its_home_object():
     for name in cyclotile.__all__:
         home = importlib.import_module("cyclotile." + cyclotile._HOME[name])
         assert getattr(cyclotile, name) is getattr(home, name), name
+
+
+def test_submodules_defer_only_through_the_package_namespace():
+    # no import statement sits inside a function: a submodule defers a sibling by reading
+    # cyclotile.<name>, so every name read that way must be a public one
+    package = os.path.dirname(os.path.abspath(cyclotile.__file__))
+    nested, unknown, deferred = set(), [], set()
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested |= {"%s:%d" % (filename, inner.lineno) for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "cyclotile"):
+                deferred.add(node.attr)
+                if node.attr not in cyclotile._HOME:
+                    unknown.append("%s:%d cyclotile.%s" % (filename, node.lineno, node.attr))
+    assert sorted(nested) == []
+    assert unknown == []
+    assert {"check_graph_condition", "structured_tile", "IntPolynomial",
+            "verify_multitiling"} <= deferred
 
 
 def test_dir_lists_every_public_name():
