@@ -10,6 +10,13 @@ written, and 3 means an internal invariant failed, which is a bug in
 cyclotile. A reader that closes standard output early ends the run quietly
 with the command's code.
 
+`main`, the entry point of a process, adds two things to `run`: an interrupt
+(Ctrl-C) prints one `interrupted` line on standard error and exits 130, with
+no traceback, and the process then ends with one `gc.freeze()`, so that no
+final collection walks the objects that are still alive when it exits; the
+operating system reclaims them at once. `run` itself leaves the collector
+and KeyboardInterrupt alone, for tests and other callers in one process.
+
 argv is checked against one table, GRAMMAR, from which the help and usage
 lines are also written; argparse is not imported, since every cold process
 would pay for it. For the same reason handlers and library alike reach
@@ -26,6 +33,7 @@ and whether b + c is a prime power from each row's verdict, and every N is
 `ParamTriple.reduced_sum`.
 """
 
+import gc
 import json
 import os
 import sys
@@ -37,6 +45,7 @@ from .errors import CyclotileError, Inadmissible, InputTooLarge
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run stopped by Ctrl-C
 MAX_TABLE_ROWS = 100_000  # --max-sum 447 is the largest table within the cap
 
 
@@ -362,7 +371,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except KeyboardInterrupt:  # caught here, not in run, so Ctrl-C still stops a caller of run
+        print("interrupted", file=sys.stderr)
+        code = INTERRUPTED
+    # the process ends here and nothing alive needs collecting again: frozen, every object
+    # is skipped by the collections at interpreter shutdown, while atexit handlers, the
+    # flush of stdio and module teardown run as before
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit-code contract."""
 
+import gc
 import json
 import os
 import shlex
@@ -343,6 +344,28 @@ def test_a_full_stdout_exits_2():
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("cannot write output: "), argv
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, argv
+
+
+def test_run_leaves_the_collector_alone(capsys):
+    # only main, which ends the process, freezes what is alive; a caller of run keeps
+    # a normal collector
+    assert invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_an_interrupt_exits_130_with_one_line():
+    # the atexit handler runs after main's freeze and writes what it sees on stdout
+    code = ("import atexit, gc, sys, cyclotile\n"
+            "from cyclotile import cli\n"
+            "def interrupted(*args, **kwargs):\n"
+            "    raise KeyboardInterrupt\n"
+            "cyclotile.search_colorings = interrupted\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv[1:] = ['search', '--P', '8', '--distances', '1,2', '--b', '2', '--c', '2']\n"
+            "cli.main()")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "frozen True\n")
 
 
 def test_cyclotomic(capsys):

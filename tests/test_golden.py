@@ -14,6 +14,8 @@ import json
 import os
 import random
 import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 from cyclotile import cli
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 GOLDEN = os.path.join(TESTS, "data", "cli_golden.json")
 
 # the seven constructions of the benchmark's `construct` workload at seed 1, P 512-4600
@@ -95,18 +98,31 @@ GROUPS = {"readme": _readme, "construct": _construct, "cyclotomic": _cyclotomic,
           "spectrum": _spectrum, "verify": _verify, "params": _params, "table": _table}
 
 
-def digest(group: str) -> dict:
+def in_process(argv: list[str]) -> tuple[str, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    return out.getvalue(), code
+
+
+def in_child(argv: list[str]) -> tuple[str, int]:
+    """One `python -m cyclotile.cli` process, so main's way out is taken too."""
+    proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, encoding="utf-8", timeout=60)
+    return proc.stdout, proc.returncode
+
+
+def digest(group: str, execute=in_process) -> dict:
     """Run a group's commands in the working directory; their count and the hash of stdout."""
     sha = hashlib.sha256()
     count = 0
     for argv, save_as in GROUPS[group]():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.run(argv)
+        out, code = execute(argv)
         if save_as is not None:
             with open(save_as, "w", encoding="utf-8") as handle:
-                handle.write(out.getvalue())
-        sha.update(out.getvalue().encode("utf-8") + b"exit %d\n" % code)
+                handle.write(out)
+        sha.update(out.encode("utf-8") + b"exit %d\n" % code)
         count += 1
     return {"commands": count, "sha256": sha.hexdigest()}
 
@@ -122,6 +138,14 @@ def test_cli_stdout_matches_golden(group, tmp_path, monkeypatch):
     with open(GOLDEN, encoding="utf-8") as handle:
         want = json.load(handle)[group]
     assert digest(group) == want, "CLI stdout of group %r differs from the golden hash" % group
+
+
+def test_cli_processes_match_the_readme_golden(tmp_path, monkeypatch):
+    # the same hash through the real entry point: exit codes and stdout as main leaves them
+    monkeypatch.chdir(tmp_path)
+    with open(GOLDEN, encoding="utf-8") as handle:
+        want = json.load(handle)["readme"]
+    assert digest("readme", in_child) == want
 
 
 if __name__ == "__main__":
