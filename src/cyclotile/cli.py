@@ -346,7 +346,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             words, args = parsed
             code, payload = globals()["_cmd_" + "_".join(words)](args)
-        text = payload if isinstance(payload, str) else json.dumps(payload, separators=(", ", ": "))
+        text = payload if isinstance(payload, str) else json.dumps(payload)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json nested too deeply
         print("cannot read input: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

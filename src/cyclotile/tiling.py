@@ -5,7 +5,8 @@ m-multitiling for u when the cyclic convolution of u and v is the
 constant m; when v only takes the values 0 and 1 it is an m-tiling.
 verify_multitiling checks a given v directly: first its mass, as
 sum(u) * sum(v) must be P * m, then the convolution row by row, each row
-summed over v's nonzero values.
+summed over v's nonzero values, each step reading u(g - h) by the wrap
+of a negative index.
 Existence of an m-multitiling is decided exactly by a divisibility test
 on the mask polynomial of u. The verdict carries the cyclotomic divisor
 spectrum it was decided on, and both witnesses are built from that same
@@ -14,8 +15,9 @@ constant times the spectrum's cofactor, a truncated Moebius series, and
 the 0/1 prime-power one is a sum of two digit sets.
 """
 
+import cyclotile  # loads cyclotomic on first use: checking a tile needs no spectrum
+
 from .coloring import Tile
-from .cyclotomic import divisor_spectrum
 from .errors import NotExists
 from .record import Record
 
@@ -49,7 +51,9 @@ def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
     Summing the cover over the group gives sum(u) * sum(v), so a v whose
     mass is not P * m is rejected before any row. Otherwise row g, the
     sum of u(g - h) * v(h), runs over v's nonzero values only, and the
-    check stops at the first row that is not m.
+    check stops at the first row that is not m. As 0 <= g, h < P, g - h
+    lies in (-P, P), so each step reads u(g - h) with no reduction mod P:
+    a negative index of the values tuple wraps to u(P + g - h).
     """
     if u.modulus != v.modulus:
         raise ValueError("tiles live on groups of order %d and %d" % (u.modulus, v.modulus))
@@ -61,7 +65,7 @@ def verify_multitiling(u: Tile, v: Tile, multiplicity: int) -> bool:
     for g in range(p):
         total = 0
         for h, x in support:
-            total += values[(g - h) % p] * x
+            total += values[g - h] * x
         if total != multiplicity:
             return False
     return True
@@ -83,7 +87,7 @@ def multitiling_exists(u: Tile, multiplicity: int) -> ExistenceVerdict:
     mask_sum = sum(u.values)
     if not mask_sum and not any(u.values):
         return ExistenceVerdict(False, None)
-    spectrum = divisor_spectrum(u.values)
+    spectrum = cyclotile.divisor_spectrum(u.values)
     passed = mask_sum != 0 and (multiplicity * spectrum.prime_power_product) % mask_sum == 0
     return ExistenceVerdict(passed, spectrum)
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import cyclotile
 from cyclotile import admissibility, coloring, tiling
 from cyclotile.cli import _table_rows
 from cyclotile.admissibility import (
@@ -503,8 +504,9 @@ def test_one_spectrum_per_pipeline_call(monkeypatch, call):
         calls.append(args)
         return real(*args)
 
-    # every module reference, so a second path through another module counts too
-    for module in (admissibility, coloring, cyclotomic, tiling):
+    # every module reference, so a second path through another module counts too, and the
+    # package namespace, where tiling looks the spectrum up
+    for module in (cyclotile, admissibility, coloring, cyclotomic, tiling):
         if hasattr(module, "divisor_spectrum"):
             monkeypatch.setattr(module, "divisor_spectrum", counting)
     call()

@@ -104,6 +104,23 @@ def test_verify_colouring_loads_no_algebra(tmp_path):
     assert run_fresh(code, str(doc)) == []
 
 
+def test_checking_a_tile_loads_no_spectrum():
+    # verify_multitiling and the search_tilings confirmations it backs need no cyclotomic
+    # spectrum, so tiling reaches divisor_spectrum through the package namespace
+    code = """if True:
+        import json, sys
+        from cyclotile import Tile, search_tilings, verify_multitiling
+        u = Tile((1, 0, 1, 0))
+        checks = [verify_multitiling(u, Tile((1, 1, 0, 0)), 1),
+                  verify_multitiling(u, Tile((1, 0, 0, 0)), 1), len(search_tilings(u, 1))]
+        print(json.dumps([checks, sorted(name for name in sys.modules
+                                         if name.startswith("cyclotile"))]))
+    """
+    loaded = ["cyclotile"] + ["cyclotile." + name for name in (
+        "coloring", "errors", "oracle", "record", "tiling")]
+    assert run_fresh(code) == [[True, False, 4], loaded]
+
+
 def test_construct_loads_no_polyring():
     # the spectrum and both witnesses need no polynomial type, so polyring is imported
     # only by the two functions that return or divide one; argv needs no argparse, and

@@ -88,14 +88,18 @@ def _cover_cases(rng):
 def test_verify_matches_the_direct_cover():
     # the mass check and the rows over v's support give the verdict of the full double
     # loop: signed values in both tiles, zeros, all-zero and dense v, P = 1, m = 0 and
-    # m < 0, masses that agree and that do not, and every search_tilings hit at P <= 12
+    # m < 0, masses that agree and that do not, and every search_tilings hit at P <= 12;
+    # "g < h" counts the verdicts decided by a row g that reads u(g - h) below index 0
     cases, hits = _cover_cases(random.Random(29))
     seen = collections.Counter()
     for u, v, m in cases + hits:
         p = len(u)
         verdict = verify_multitiling(Tile(u), Tile(v), m)
-        assert verdict == (direct_cover(u, v) == [m] * p), (u, v, m)
+        rows = direct_cover(u, v)
+        assert verdict == (rows == [m] * p), (u, v, m)
         agrees = sum(u) * sum(v) == p * m
+        deciding = next((g for g, row in enumerate(rows) if row != m), 0)
+        seen["g < h"] += agrees and any(v[deciding + 1:])
         seen["agree", verdict] += agrees
         seen["disagree"] += not agrees
         seen["P = 1"] += p == 1
