@@ -12,10 +12,13 @@ with the command's code.
 
 `main`, the entry point of a process, adds two things to `run`: an interrupt
 (Ctrl-C) prints one `interrupted` line on standard error and exits 130, with
-no traceback, and the process then ends with one `gc.freeze()`, so that no
-final collection walks the objects that are still alive when it exits; the
-operating system reclaims them at once. `run` itself leaves the collector
-and KeyboardInterrupt alone, for tests and other callers in one process.
+no traceback, and the process then ends at its last write. `main` runs the
+atexit handlers, flushes standard output and error, and leaves by
+`os._exit`, so no module teardown or deallocation follows; the operating
+system reclaims the memory at once. A failed flush exits 120, as the
+interpreter's own exit would. `run` itself returns its code and leaves
+KeyboardInterrupt and the way out to its caller, for tests and other
+callers in one process.
 
 argv is checked against one table, GRAMMAR, from which the help and usage
 lines are also written; argparse is not imported, since every cold process
@@ -33,7 +36,7 @@ and whether b + c is a prime power from each row's verdict, and every N is
 `ParamTriple.reduced_sum`.
 """
 
-import gc
+import atexit
 import json
 import os
 import sys
@@ -46,6 +49,7 @@ from .errors import CyclotileError, Inadmissible, InputTooLarge
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run stopped by Ctrl-C
+FLUSH_FAILED = 120  # the interpreter's code when its flush of stdio at exit fails
 MAX_TABLE_ROWS = 100_000  # --max-sum 447 is the largest table within the cap
 
 
@@ -376,11 +380,17 @@ def main() -> None:
     except KeyboardInterrupt:  # caught here, not in run, so Ctrl-C still stops a caller of run
         print("interrupted", file=sys.stderr)
         code = INTERRUPTED
-    # the process ends here and nothing alive needs collecting again: frozen, every object
-    # is skipped by the collections at interpreter shutdown, while atexit handlers, the
-    # flush of stdio and module teardown run as before
-    gc.freeze()
-    sys.exit(code)
+    # the process ends here: what interpreter shutdown would still do for it is run the
+    # atexit handlers and flush stdio, so main does both and leaves by os._exit, which
+    # skips module teardown and deallocation; the package starts no threads to join
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if not stream.closed:  # as the interpreter's own flush at exit, which skips
+                stream.flush()     # a closed stream and exits 120 when a flush fails
+        except OSError:
+            code = FLUSH_FAILED
+    os._exit(code)
 
 
 if __name__ == "__main__":

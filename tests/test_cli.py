@@ -15,6 +15,10 @@ from cyclotile import cli
 from cyclotile.cli import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclotile.__file__)))
+# a child's environment with its stdout block-buffered, as a shell leaves it, so that only
+# a flush makes its last write arrive
+BUFFERED = dict({name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"},
+                PYTHONPATH=SRC)
 
 
 def invoke(capsys, *argv):
@@ -347,25 +351,60 @@ def test_a_full_stdout_exits_2():
 
 
 def test_run_leaves_the_collector_alone(capsys):
-    # only main, which ends the process, freezes what is alive; a caller of run keeps
-    # a normal collector
+    # only main, which ends the process, decides how it ends; a caller of run keeps a
+    # normal collector and its own way out
     assert invoke(capsys, "construct", "--b", "2", "--c", "6", "--k", "3")[0] == 0
     assert gc.get_freeze_count() == 0
 
 
 def test_an_interrupt_exits_130_with_one_line():
-    # the atexit handler runs after main's freeze and writes what it sees on stdout
-    code = ("import atexit, gc, sys, cyclotile\n"
+    # main leaves by os._exit, but an atexit handler registered before it still runs, and
+    # what it prints to a block-buffered stdout still arrives through main's flush
+    code = ("import atexit, sys, cyclotile\n"
             "from cyclotile import cli\n"
             "def interrupted(*args, **kwargs):\n"
             "    raise KeyboardInterrupt\n"
             "cyclotile.search_colorings = interrupted\n"
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "atexit.register(lambda: print('atexit ran'))\n"
             "sys.argv[1:] = ['search', '--P', '8', '--distances', '1,2', '--b', '2', '--c', '2']\n"
+            "cli.main()")
+    proc = subprocess.run([sys.executable, "-c", code], env=BUFFERED,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "atexit ran\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table", "--k", "3", "--max-sum", "447"], 0),
+    (["search", "--P", "24", "--distances", "1,5,7,11", "--b", "4", "--c", "4"], 0),
+    (["construct", "--b", "5", "--c", "3", "--k", "3"], 1),
+    (["cyclotomic", "9699690"], 2),
+], ids=["table", "search", "exit-1", "exit-2"])
+def test_a_process_writes_what_run_writes(argv, code, capsys):
+    # the payloads of 3 MB and 1.3 MB are far more than a pipe holds, and must arrive whole
+    # although main leaves by os._exit
+    want = invoke(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "cyclotile.cli", *argv], env=BUFFERED,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[0] == code and want[2].count("\n") == (code != 0)
+    assert code != 0 or len(want[1]) > 1 << 20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_failed_flush_at_exit_exits_120_as_the_interpreter_does():
+    # an atexit handler that writes to a full disk: the interpreter's own flush at exit
+    # would fail and exit 120, and so does main's
+    code = ("import atexit, sys\n"
+            "from cyclotile import cli\n"
+            "def late():\n"
+            "    sys.stdout = open('/dev/full', 'w')\n"
+            "    print('late')\n"
+            "atexit.register(late)\n"
+            "sys.argv[1:] = ['cyclotomic', '12']\n"
             "cli.main()")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "frozen True\n")
+    assert (proc.returncode, proc.stdout) == (120, '{"n": 12, "coeffs": [1, 0, -1, 0, 1]}\n')
 
 
 def test_cyclotomic(capsys):
