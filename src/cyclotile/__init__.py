@@ -48,7 +48,6 @@ _HOME = {
     "divisor_spectrum": "cyclotomic",
     "CyclotileError": "errors",
     "Inadmissible": "errors",
-    "InexactDivision": "errors",
     "InputTooLarge": "errors",
     "NotExists": "errors",
     "SearchReport": "oracle",

@@ -51,6 +51,7 @@ MAX_DEGREE = 131_072  # 2^17: Phi_n of a larger degree is refused before anythin
 def cyclotomic(n: int) -> "IntPolynomial":
     """The n-th cyclotomic polynomial.
 
+    For n > 1 it is the Moebius series of rad(n) spread n / rad(n) apart.
     Raises InputTooLarge when its degree phi(n) exceeds MAX_DEGREE.
     Memoized for the 128 most recently used n. The cache is written once
     per key, so concurrent readers only ever observe finished values.
@@ -61,16 +62,14 @@ def cyclotomic(n: int) -> "IntPolynomial":
         return cyclotile.IntPolynomial([-1, 1])
     primes = [p for p, _ in factorize(n)]
     radical = math.prod(primes)
-    top = n // radical * math.prod(p - 1 for p in primes)  # phi(n), the degree
+    phi_radical = math.prod(p - 1 for p in primes)
+    top = n // radical * phi_radical  # phi(n), the degree
     if top > MAX_DEGREE:
         raise InputTooLarge("the %d-th cyclotomic polynomial has degree %d, above the cap of %d"
                             % (n, top, MAX_DEGREE))
-    if radical < n:
-        base = cyclotomic(radical).coeffs
-        spread = [0] * (top + 1)
-        spread[::n // radical] = base
-        return cyclotile.IntPolynomial(spread)
-    return cyclotile.IntPolynomial(_mobius_series(dict(_mobius_exponents(n, primes)), top + 1))
+    spread = [0] * (top + 1)
+    spread[::n // radical] = _mobius_series(dict(_mobius_exponents(radical, primes)), phi_radical + 1)
+    return cyclotile.IntPolynomial(spread)
 
 
 def _mobius_exponents(n: int, primes: list[int]) -> list[tuple[int, int]]:

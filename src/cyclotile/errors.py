@@ -1,18 +1,13 @@
 """Exception types shared across the package.
 
 A CyclotileError is a negative verdict (Inadmissible, NotExists) or a
-refused bound (InputTooLarge); InexactDivision is the one left from the
-polynomial ring. A malformed or out-of-range argument is a plain
-ValueError.
+refused bound (InputTooLarge). A malformed or out-of-range argument,
+a non-monic divisor included, is a plain ValueError.
 """
 
 
 class CyclotileError(Exception):
     """Base class for every error this package raises on purpose."""
-
-
-class InexactDivision(CyclotileError):
-    """Polynomial division did not come out exact over the integers."""
 
 
 class NotExists(CyclotileError):

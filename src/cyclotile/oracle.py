@@ -106,15 +106,19 @@ def search_colorings(
 def search_tilings(u: Tile, m: int) -> list[Tile]:
     """Every 0/1 tile that covers the group m-fold with tile u, in counter order.
 
-    The masks come from _covers; only a hit is built as a Tile, and
+    m = 0 is a ValueError, as in multitiling_exists. The masks come from
+    _covers, bounded by 2^MAX_EXHAUSTIVE_ORDER states (never reached at
+    P <= MAX_EXHAUSTIVE_ORDER); only a hit is built as a Tile, and
     verify_multitiling, the direct convolution, confirms each one.
     """
     p = u.modulus
     if p > MAX_EXHAUSTIVE_ORDER:
         raise InputTooLarge("2^%d states is more than this oracle will try" % p)
+    if m == 0:
+        raise ValueError("multiplicity must be nonzero")
     digits = "0%db" % p
     out = []
-    for mask in _covers(u, m):
+    for mask in _covers(u, m, 2**MAX_EXHAUSTIVE_ORDER):
         v = Tile(tuple(map(int, format(mask, digits)[::-1])))
         if not cyclotile.verify_multitiling(u, v, m):
             raise AssertionError("oracle cover count disagrees with the direct convolution")
@@ -122,26 +126,21 @@ def search_tilings(u: Tile, m: int) -> list[Tile]:
     return out
 
 
-def _covers(u: Tile, m: int, max_states: int | None = None):
-    """The P-bit masks v, ascending, that cover every vertex exactly m times with tile u.
+def _covers(u: Tile, m: int, max_states: int):
+    """The P-bit masks v, ascending, that cover every vertex exactly m != 0 times with tile u.
 
     Summing the cover over the group gives sum(u) * sum(v) = P * m, so
-    only the masks with w = P * m / sum(u) ones are classified. When
-    sum(u) = 0 and m = 0 every weight qualifies; otherwise a w that is
-    not an integer in [0, P] leaves nothing to classify. A mask v covers
-    vertex g with the sum of u(g - h) over the h in v, so the block walk
-    classifies the masks with weight u(g - h) on bit h at vertex g and
-    target m everywhere.
+    only the masks with w = P * m / sum(u) ones are classified, at most
+    max_states of them; a w that is not an integer in [0, P] leaves
+    nothing to classify. A mask v covers vertex g with the sum of
+    u(g - h) over the h in v, so the block walk classifies the masks
+    with weight u(g - h) on bit h at vertex g and target m everywhere.
     """
     p = u.modulus
     u_sum = sum(u.values)
-    if u_sum == 0 and m == 0:
-        weight = None
-    elif u_sum == 0 or p * m % u_sum or not 0 <= p * m // u_sum <= p:
+    if u_sum == 0 or p * m % u_sum or not 0 <= p * m // u_sum <= p:
         return
-    else:
-        weight = p * m // u_sum
-    yield from _walk(u.values, m, weight, max_states)
+    yield from _walk(u.values, m, p * m // u_sum, max_states)
 
 
 def _planes(row, full: int, bits: tuple[int, ...]) -> tuple[list[int], int]:
@@ -203,10 +202,10 @@ def _block(width: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return full, bits, tuple(_level(planes, full, j) for j in range(width + 1))
 
 
-def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: int | None = None):
+def _walk(values: tuple[int, ...], target: int, weight: int, max_states: int):
     """The P-bit masks v, ascending, with sum over h of values[g - h] * v_h == target at every g.
 
-    Only masks with weight ones are classified (every mask when weight is None).
+    Only masks with weight ones are classified.
     The walk takes the 2^B masks that share their high bits P-1 ... B
     (B = BLOCK_BITS) as one block, a set of low parts held as the bits of one int,
     and classifies the whole block at once. The low bits' share of a vertex's
@@ -220,8 +219,8 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
     dict local to the call, filled on a first look-up, and costs a block a
     popcount per distinct high weight, a look-up and an AND. The blocks step
     from one high part to the next whose popcount leaves room for weight ones.
-    With max_states, raises InputTooLarge after yielding the hits among
-    the first max_states masks classified, if there are more to classify.
+    Raises InputTooLarge after yielding the hits among the first
+    max_states masks classified, if there are more to classify.
     """
     p = len(values)
     width = min(BLOCK_BITS, p)
@@ -251,31 +250,27 @@ def _walk(values: tuple[int, ...], target: int, weight: int | None, max_states: 
     classified = 0
     high = 0
     while high < blocks:
-        if weight is None:
-            acc = full
-        else:
-            ones = high.bit_count()
-            if ones > weight:  # the next high part with fewer ones
-                high += high & -high
-                continue
-            if ones + width < weight:  # the next high part with more ones
-                # set the lowest weight - width - ones bits at once: they are clear, since
-                # the walk gets here only from high = 0 or by a carry out of a high part
-                # with at least weight - width ones, which clears more low bits than the
-                # ones it removes
-                high |= (1 << (weight - width - ones)) - 1
-                continue
-            acc = classes[weight - ones]
+        ones = high.bit_count()
+        if ones > weight:  # the next high part with fewer ones
+            high += high & -high
+            continue
+        if ones + width < weight:  # the next high part with more ones
+            # set the lowest weight - width - ones bits at once: they are clear, since
+            # the walk gets here only from high = 0 or by a carry out of a high part
+            # with at least weight - width ones, which clears more low bits than the
+            # ones it removes
+            high |= (1 << (weight - width - ones)) - 1
+            continue
+        acc = classes[weight - ones]
         base = high << width
         stop = None
-        if max_states is not None:
-            classified += acc.bit_count()
-            if classified > max_states:
-                rest = acc
-                for _ in range(acc.bit_count() - (classified - max_states)):
-                    rest &= rest - 1
-                stop = rest & -rest
-                acc &= stop - 1
+        classified += acc.bit_count()
+        if classified > max_states:
+            rest = acc
+            for _ in range(acc.bit_count() - (classified - max_states)):
+                rest &= rest - 1
+            stop = rest & -rest
+            acc &= stop - 1
         for groups, planes, level, table in vertices:
             total = 0
             for a, group in groups:

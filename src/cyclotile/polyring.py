@@ -8,7 +8,6 @@ through int.to_bytes. No library path multiplies polynomials; products
 serve callers of IntPolynomial and the tests.
 """
 
-from .errors import InexactDivision
 from .record import Record
 
 
@@ -64,31 +63,29 @@ def convolve(a, b) -> list[int]:
 
 
 def poly_divmod(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Quotient and remainder of f by g over Z[x].
+    """Quotient and remainder of f by a monic g over Z[x].
 
     Each elimination step touches only the nonzero coefficients of g, so
     dividing by a sparse g such as x^d - 1 costs its number of terms per
-    step. Every step must divide exactly; g monic always works, and a
-    non-monic g raises InexactDivision as soon as a leading term fails to
-    divide. Division by the zero polynomial raises ZeroDivisionError.
+    step. As g is monic, each quotient coefficient is the remainder's
+    leading coefficient. A g with another leading coefficient is a
+    ValueError, and the zero polynomial a ZeroDivisionError.
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    if g.coeffs[-1] != 1:
+        raise ValueError("divisor must be monic, not of leading coefficient %d" % g.coeffs[-1])
     if f.is_zero() or len(f.coeffs) < len(g.coeffs):
         return IntPolynomial(), f
     rem = list(f.coeffs)
-    lead = g.coeffs[-1]
     shift = len(g.coeffs) - 1
     # only the nonzero lower terms of g; the leading one cancels rem[i], which is not read again
     terms = [(j, gc) for j, gc in enumerate(g.coeffs[:shift]) if gc]
     quot = [0] * (len(rem) - shift)
     for i in range(len(rem) - 1, shift - 1, -1):
-        cf = rem[i]
-        if cf == 0:
+        q = rem[i]
+        if q == 0:
             continue
-        q, leftover = divmod(cf, lead)
-        if leftover:
-            raise InexactDivision("leading coefficient %d does not divide %d" % (lead, cf))
         base = i - shift
         quot[base] = q
         for j, gc in terms:

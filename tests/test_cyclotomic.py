@@ -92,6 +92,19 @@ def test_new_prime_identity_at_seven_primes():
     assert (cyclotomic(510510) * cyclotomic(30030)).coeffs == tuple(spread)
 
 
+def test_prime_power_closed_form_up_to_the_cap():
+    # Phi_{p^a}(x) = sum over j < p of x^(j p^(a-1)), up to the degree cap at 2^18
+    for p, a in [(2, 1), (2, 5), (2, 17), (3, 1), (3, 7), (3, 11), (5, 4), (7, 3), (17, 2),
+                 (251, 2), (257, 2), (131071, 1)]:
+        n = p**a
+        assert n <= 2**18
+        step = p ** (a - 1)
+        expected = [0] * ((p - 1) * step + 1)
+        expected[::step] = [1] * p
+        assert cyclotomic(n).coeffs == tuple(expected), n
+    assert cyclotomic(262144).coeffs == (1,) + (0,) * 131071 + (1,)
+
+
 def test_value_at_one():
     # p at prime powers, 1 elsewhere above 1, 0 at n=1
     assert sum(cyclotomic(1).coeffs) == 0

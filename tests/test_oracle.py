@@ -143,10 +143,38 @@ def test_search_tilings_too_large():
         search_tilings(Tile((1,) + (0,) * 24), 1)
 
 
+def _every_mask_filtered(u, m):
+    p = u.modulus
+    everything = (Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p))
+    return [v for v in everything if verify_multitiling(u, v, m)]
+
+
+def _class_tiles(rng, count):
+    """Signed tiles u with an m != 0 such that the multiples of some d | P cover u m times.
+
+    u holds m on one vertex of each class mod d, plus a zero-sum pair within the class.
+    """
+    cases = []
+    for _ in range(count):
+        p = rng.choice([4, 6, 8, 9, 10])
+        d = rng.choice([e for e in range(2, p) if p % e == 0])
+        m = rng.choice([1, 1, 2, -1])
+        values = [0] * p
+        for r in range(d):
+            cls = range(r, p, d)
+            values[rng.choice(cls)] += m
+            x = rng.randrange(-2, 3)
+            values[rng.choice(cls)] += x
+            values[rng.choice(cls)] -= x
+        cases.append((Tile(tuple(values)), m))
+    return cases
+
+
 def test_search_tilings_matches_unfiltered_filter():
     # search_tilings skips masks by their number of ones; it must find
-    # exactly what checking every mask finds, for signed tiles, tiles of
-    # sum zero (v = 0 and the periodic v cover 1 - x^h zero times) and m = 0
+    # exactly what checking every mask finds, for signed tiles and tiles of
+    # sum zero (which no mask covers a nonzero number of times), and it
+    # refuses m = 0 on each of them
     rng = random.Random(41)
     cases = [(Tile((1, 0, 1, 0)), 1), (Tile((1, 1, 0, 0, 0, 0)), 1), (Tile((2, -1, 1)), 2)]
     for _ in range(60):
@@ -154,25 +182,20 @@ def test_search_tilings_matches_unfiltered_filter():
         values = [rng.randrange(-2, 3) for _ in range(p)]
         if rng.random() < 0.4:
             values[rng.randrange(p)] -= sum(values)
-        cases.append((Tile(tuple(values)), rng.choice([0, 0, 1, 2, -1, sum(values)])))
+        cases.append((Tile(tuple(values)), rng.choice([1, 1, 2, -1, sum(values) or 1])))
     for p in range(2, 11):
         h = rng.randrange(1, p)
-        cases.append((Tile(tuple(1 if g == 0 else -1 if g == h else 0 for g in range(p))), 0))
-    hits = zero_sum_hits = 0
+        cases.append((Tile(tuple(1 if g == 0 else -1 if g == h else 0 for g in range(p))), 1))
+    cases += _class_tiles(rng, 30)
+    hits = zero_sum = 0
     for u, m in cases:
-        p = u.modulus
-        everything = (Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p))
-        expected = [v for v in everything if verify_multitiling(u, v, m)]
+        expected = _every_mask_filtered(u, m)
         assert search_tilings(u, m) == expected, (u, m)
+        with pytest.raises(ValueError, match="multiplicity must be nonzero"):
+            search_tilings(u, 0)
         hits += len(expected)
-        zero_sum_hits += sum(u.values) == 0 and m == 0 and len(expected) > 1
-    assert hits > 50 and zero_sum_hits > 10
-
-
-def _every_mask_filtered(u, m):
-    p = u.modulus
-    everything = (Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p))
-    return [v for v in everything if verify_multitiling(u, v, m)]
+        zero_sum += sum(u.values) == 0
+    assert hits > 50 and zero_sum > 10
 
 
 def test_search_tilings_is_the_census_on_structured_tiles():
@@ -200,18 +223,22 @@ def test_search_tilings_colliding_values_and_negative_centre():
                        (CirculantSpec(10, (5, 6, 7)), 2, 3)]:
         u = structured_tile(spec, b, c)
         assert u.values[0] < 0 and max(u.values) >= 2, u
-        for m in sorted({-1, 0, 1, 2, c}):
+        for m in sorted({-1, 1, 2, c}):
             expected = _every_mask_filtered(u, m)
             assert search_tilings(u, m) == expected, (spec, b, c, m)
             hits += len(expected)
+        with pytest.raises(ValueError, match="multiplicity must be nonzero"):
+            search_tilings(u, 0)
     assert hits > 30
 
 
 def test_search_tilings_all_zero_tile():
+    # every mask covers the all-zero tile zero times, but m = 0 is refused as in
+    # multitiling_exists, and no mask covers it a nonzero number of times
     for p in (1, 5, 9):
         u = Tile((0,) * p)
-        found = search_tilings(u, 0)
-        assert found == [Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in range(1 << p)]
+        with pytest.raises(ValueError, match="multiplicity must be nonzero"):
+            search_tilings(u, 0)
         assert search_tilings(u, 1) == [] and search_tilings(u, -2) == []
 
 
@@ -241,7 +268,7 @@ def test_hits_read_off_one_binary_string_match_the_per_bit_expressions(monkeypat
         masks = [0, (1 << p) - 1] + [rng.getrandbits(p) for _ in range(500)]
         assert [oracle._colors_of(mask, p) for mask in masks] == [
             "".join(BLACK if (mask >> g) & 1 else WHITE for g in range(p)) for mask in masks]
-        monkeypatch.setattr(oracle, "_covers", lambda u, m: iter(masks))
+        monkeypatch.setattr(oracle, "_covers", lambda u, m, max_states: iter(masks))
         assert search_tilings(Tile((1,) * p), 1) == [
             Tile(tuple((mask >> g) & 1 for g in range(p))) for mask in masks]
 
@@ -422,7 +449,7 @@ def test_search_colorings_indivisible_weight_classifies_nothing(monkeypatch):
     calls = []
     walk = oracle._walk
 
-    def counting(rows, target, weight, max_states=None):
+    def counting(rows, target, weight, max_states):
         calls.append(len(rows))
         return walk(rows, target, weight, max_states)
 
@@ -555,22 +582,23 @@ def test_block_walk_max_states_at_block_boundaries(monkeypatch):
 
 
 def test_search_tilings_at_forced_block_widths(monkeypatch):
-    # the walk in blocks of 1, 3 and P - 1 bits against the every-mask filter: weight 0
-    # and weight P, tiles of sum zero with m = 0 (every weight qualifies), negative
-    # centres and colliding values
+    # the walk in blocks of 1, 3 and P - 1 bits against the every-mask filter: weight 1
+    # and weight P, tiles of sum zero, signed tiles with hits, negative centres and
+    # colliding values
     rng = random.Random(59)
-    cases = [(Tile((2, 0, 0, 0)), 0), (Tile((1, 0, 0)), 1), (Tile((1, 1, 0, 0)), 2),
-             (Tile((-1, 0, 0, 0, 0)), -1), (Tile((0,) * 6), 0), (Tile((1, 0, -1, 0, 0)), 0)]
+    cases = [(Tile((1, 1, 1, 1)), 1), (Tile((1, 0, 0)), 1), (Tile((1, 1, 0, 0)), 2),
+             (Tile((-1, 0, 0, 0, 0)), -1), (Tile((0,) * 6), 1), (Tile((1, 0, -1, 0, 0)), 1)]
     for spec, b, c in [(CirculantSpec(8, (1, 1, 4)), 1, 1), (CirculantSpec(10, (5, 8, 9)), 3, 2),
                        (CirculantSpec(10, (5, 6, 7)), 2, 3)]:
-        cases += [(structured_tile(spec, b, c), m) for m in (-1, 0, 1, c)]
+        cases += [(structured_tile(spec, b, c), m) for m in (-1, 1, 2, c)]
     for _ in range(40):
         p = rng.randrange(2, 11)
         values = [rng.randrange(-2, 3) for _ in range(p)]
         if rng.random() < 0.4:
             values[rng.randrange(p)] -= sum(values)
-        cases.append((Tile(tuple(values)), rng.choice([0, 1, 2, -1, sum(values)])))
-    hits = every_weight = 0
+        cases.append((Tile(tuple(values)), rng.choice([1, 2, -1, sum(values) or 1])))
+    cases += _class_tiles(rng, 20)
+    hits = ends = 0
     for u, m in cases:
         expected = _every_mask_filtered(u, m)
         for width in _widths(u.modulus):
@@ -578,10 +606,11 @@ def test_search_tilings_at_forced_block_widths(monkeypatch):
             assert search_tilings(u, m) == expected, (u, m, width)
         monkeypatch.undo()
         hits += len(expected)
-        every_weight += sum(u.values) == m == 0 and len({sum(v.values) for v in expected}) > 2
-    assert _every_mask_filtered(Tile((2, 0, 0, 0)), 0) == [Tile((0, 0, 0, 0))]
+        ends += any(sum(v.values) in (1, u.modulus) for v in expected)
+    assert _every_mask_filtered(Tile((1, 1, 1, 1)), 1) == [
+        Tile((1, 0, 0, 0)), Tile((0, 1, 0, 0)), Tile((0, 0, 1, 0)), Tile((0, 0, 0, 1))]
     assert _every_mask_filtered(Tile((1, 1, 0, 0)), 2) == [Tile((1, 1, 1, 1))]
-    assert hits > 100 and every_weight >= 3
+    assert hits > 100 and ends >= 3
 
 
 def test_plane_tables_match_the_splitting_reference():

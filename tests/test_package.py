@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -71,6 +72,14 @@ def test_dir_lists_every_public_name():
     assert set(cyclotile.__all__) <= set(dir(cyclotile))
 
 
+def test_readme_names_every_public_name():
+    # each public name appears as a word in some code span or code block of the README
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        spans = " ".join(re.findall(r"`+([^`]+)`+", handle.read()))
+    named = set(re.findall(r"\w+", spans))
+    assert [name for name in cyclotile.__all__ if name not in named] == []
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         cyclotile.no_such_name  # noqa: B018
@@ -78,13 +87,12 @@ def test_unknown_attribute_raises():
 
 
 def test_errors_are_the_negative_verdicts_and_the_bound():
-    # a CyclotileError is a negative verdict or a refused bound (InexactDivision stays with
-    # the polynomial ring); a malformed or out-of-range argument is a plain ValueError
+    # a CyclotileError is a negative verdict or a refused bound; a malformed or
+    # out-of-range argument is a plain ValueError
     errors = importlib.import_module("cyclotile.errors")
     defined = sorted(name for name, value in vars(errors).items()
                      if isinstance(value, type) and issubclass(value, Exception))
-    assert defined == ["CyclotileError", "Inadmissible", "InexactDivision", "InputTooLarge",
-                       "NotExists"]
+    assert defined == ["CyclotileError", "Inadmissible", "InputTooLarge", "NotExists"]
     assert set(defined) <= set(cyclotile.__all__)
 
 

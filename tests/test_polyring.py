@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclotile.errors import InexactDivision
 from cyclotile.polyring import (
     IntPolynomial,
     convolve,
@@ -110,6 +109,14 @@ def test_divmod_zero_divisor():
         poly_divmod(P(1), IntPolynomial([]))
 
 
+def test_divmod_rejects_a_non_monic_divisor():
+    # whether or not the division would come out exact over Z, and whatever f is
+    for f, g in [(P(1), P(2)), (P(0, 2), P(0, 2)), (P(1, 0, 1), P(1, -1)), (P(), P(3, 2)),
+                 (P(0, 1), P(1, 2))]:
+        with pytest.raises(ValueError, match="monic"):
+            poly_divmod(f, g)
+
+
 def test_divmod_random_roundtrip():
     rng = random.Random(2)
     for _ in range(200):
@@ -121,13 +128,11 @@ def test_divmod_random_roundtrip():
 
 
 def _dense_divmod(f, g):
-    """Schoolbook division over every coefficient of g, zeros included."""
-    rem, lead, shift = list(f.coeffs), g.coeffs[-1], len(g.coeffs) - 1
+    """Schoolbook division by a monic g over every coefficient of g, zeros included."""
+    rem, shift = list(f.coeffs), len(g.coeffs) - 1
     quot = [0] * max(0, len(rem) - shift)
     for i in range(len(rem) - 1, shift - 1, -1):
-        q, leftover = divmod(rem[i], lead)
-        if leftover:
-            raise InexactDivision(i)
+        q = rem[i]
         quot[i - shift] = q
         for j, gc in enumerate(g.coeffs):
             rem[i - shift + j] -= q * gc
@@ -139,22 +144,16 @@ SPARSE = st.lists(st.just(0) | st.just(0) | st.just(0) | SMALL, max_size=30)
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(SPARSE, st.sampled_from([1, -1, 2, -2, 3, -3]), SPARSE, st.lists(SMALL, max_size=20))
-@example([0] * 11, 1, [], [5])
-@example([-1] + [0] * 6, 1, [1, 0, 0, 1], [1])
-@example([1], 2, [1], [])
-@example([0, 1], 2, [], [1])
-def test_divmod_sparse_divisor(lower, lead, cofactor, extra):
-    # agrees with the dense division, InexactDivision included; a monic g never raises
-    g = IntPolynomial(lower + [lead])
+@given(SPARSE, SPARSE, st.lists(SMALL, max_size=20))
+@example([0] * 11, [], [5])
+@example([-1] + [0] * 6, [1, 0, 0, 1], [1])
+@example([1], [1], [])
+@example([0, 1], [], [1])
+def test_divmod_sparse_divisor(lower, cofactor, extra):
+    # a sparse monic g: skipping its zero coefficients agrees with the dense division
+    g = IntPolynomial(lower + [1])
     f = plus(IntPolynomial(cofactor) * g, IntPolynomial(extra))
-    try:
-        expected = _dense_divmod(f, g)
-    except InexactDivision:
-        assert abs(lead) > 1
-        with pytest.raises(InexactDivision):
-            poly_divmod(f, g)
-        return
+    expected = _dense_divmod(f, g)
     q, r = poly_divmod(f, g)
     assert (q, r) == expected
     assert plus(q * g, r).coeffs == f.coeffs

@@ -80,7 +80,7 @@ def _cover_cases(rng):
                 hits += [(u.values, v.values, c) for v in search_tilings(u, c)]
         for _ in range(3):
             u = Tile(tuple(rng.randrange(0, 3) for _ in range(p)))
-            for m in range(0, 4):
+            for m in range(1, 4):
                 hits += [(u.values, v.values, m) for v in search_tilings(u, m)]
     return cases, hits
 
@@ -142,8 +142,19 @@ def test_exists_examples():
 
 
 def test_exists_rejects_m_zero():
-    with pytest.raises(ValueError):
-        multitiling_exists(Tile((1, 0, 1, 0)), 0)
+    # every tile operation that looks for a cover refuses m = 0, on a tile of sum zero
+    # and on one of nonzero sum, and the two deciders still answer a negative m;
+    # verify_multitiling checks a given cover, so it answers m = 0 (see its random cases)
+    for u, passes in ((Tile((1, -1, 0, 0)), False), (Tile((1, 0, 1, 0)), True)):
+        for operation in (multitiling_exists, construct_multitiling, construct_tiling_prime_power,
+                          search_tilings):
+            with pytest.raises(ValueError):
+                operation(u, 0)
+        assert multitiling_exists(u, -1).passed == passes
+        assert search_tilings(u, -1) == []
+        assert verify_multitiling(u, Tile((0, 0, 0, 0)), 0)
+    assert [v.values for v in search_tilings(Tile((-1, 0, -1, 0)), -1)] == [
+        (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
 
 
 def test_exists_negative_m():
